@@ -11,23 +11,33 @@ The tail experiment needs the half transit time Upsilon0 for ~1e6 entry
 angles, far too many for adaptive quadrature, so a fixed-order
 Gauss-Legendre engine evaluates the same regularized integrands as
 transition.upsilon0 in vectorized batches; its agreement with the adaptive
-path is a test fixture, not an assumption.
+path is a test fixture, not an assumption.  The engine builds its rule once
+per node count and evaluates rows in fixed blocks, so the memory each
+worker thread needs is bounded by block x nodes, not by the chunk size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import bands, transition
 from .asymptotics import ScalingFit, fit_exponent
 from .bands import DEFAULT_N0
+from .errors import AccuracyError
 from .surface import SurfaceProfile
 
 _GL_NODES = 320  # one bouncing panel; crossing uses two panels of half this
+# Rows per kernel pass.  A block x nodes temporary is then 160 KiB, which
+# glibc's allocator keeps and reuses from block to block.  With 256-row
+# blocks a 16384-row chunk ran 1.5-2x slower on a 2-core x86_64 host
+# (glibc 2.36): the larger freed temporaries went back to the OS and were
+# faulted in again.
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -48,17 +58,7 @@ class ExperimentConfig:
         return SurfaceProfile(r=self.r, eps0=self.eps0)
 
     def as_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "eps0": self.eps0,
-            "seed": self.seed,
-            "samples": self.samples,
-            "n0": self.n0,
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "chunk_size": self.chunk_size,
-            "threads": self.threads,
-        }
+        return asdict(self)
 
 
 def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -101,48 +101,72 @@ def upsilon0_batch(
     Bouncing rows integrate the w-regularized form on one panel; crossing
     rows split [0, eps0] at the peak width u^(1/r) and use half the nodes
     on each panel.  Angles exactly asymptotic (u = 0) return inf.
+
+    The rule for each node count is built once per process, and rows are
+    evaluated _BLOCK_ROWS at a time, so the kernel's temporaries hold
+    _BLOCK_ROWS x nodes floats each, whatever the batch size.  Each
+    row is computed on its own and summed over the same nodes in the same
+    order, so the result does not depend on the blocking.
     """
     psi = np.asarray(psi, dtype=float)
-    r, eps0 = profile.r, profile.eps0
     u, bounce = entry_scales(profile, psi)
     out = np.full(psi.shape, np.inf)
+    finite = u > 0.0
+    for rows, kernel in (
+        (bounce & finite, _bouncing_rows),
+        (~bounce & finite, _crossing_rows),
+    ):
+        ur = u[rows]
+        vals = np.empty(ur.shape)
+        for i in range(0, ur.size, _BLOCK_ROWS):
+            vals[i : i + _BLOCK_ROWS] = kernel(profile, ur[i : i + _BLOCK_ROWS], nodes)
+        out[rows] = vals
+    return out
 
-    x1, wt1 = np.polynomial.legendre.leggauss(nodes)
-    x2, wt2 = np.polynomial.legendre.leggauss(nodes // 2)
 
-    ub = u[bounce & (u > 0.0)]
-    if ub.size:
-        y = ub[:, None] ** (1.0 / r)
-        q = y**r
-        half = 0.5 * np.sqrt(eps0 - y)
-        w = half * (x1 + 1.0)
-        s = y + w * w
+@functools.lru_cache(maxsize=8)
+def _gl_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre (nodes, weights), shared by every caller."""
+    x, wt = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = False
+    wt.flags.writeable = False
+    return x, wt
+
+
+def _bouncing_rows(profile: SurfaceProfile, ub: np.ndarray, nodes: int) -> np.ndarray:
+    r, eps0 = profile.r, profile.eps0
+    x, wt = _gl_rule(nodes)
+    y = ub[:, None] ** (1.0 / r)
+    q = y**r
+    half = 0.5 * np.sqrt(eps0 - y)
+    w = half * (x + 1.0)
+    s = y + w * w
+    sr = s**r
+    xi = 1.0 + sr
+    xp = r * sr / s
+    ximc = q * np.expm1(r * np.log1p(w * w / y))
+    xipc = 2.0 + ub[:, None] + sr
+    f = xi * np.sqrt(1.0 + xp * xp) * 2.0 * w / np.sqrt(ximc * xipc)
+    return (f * wt).sum(axis=1) * half[:, 0]
+
+
+def _crossing_rows(profile: SurfaceProfile, uc: np.ndarray, nodes: int) -> np.ndarray:
+    r, eps0 = profile.r, profile.eps0
+    x, wt = _gl_rule(nodes // 2)
+    s1 = np.minimum(uc[:, None] ** (1.0 / r), 0.5 * eps0)
+    acc = np.zeros(uc.shape)
+    for lo, hi in ((0.0, s1), (s1, eps0)):
+        half = 0.5 * (hi - lo)
+        s = lo + half * (x + 1.0)
         sr = s**r
         xi = 1.0 + sr
-        xp = r * sr / s
-        ximc = q * np.expm1(r * np.log1p(w * w / y))
-        xipc = 2.0 + ub[:, None] + sr
-        f = xi * np.sqrt(1.0 + xp * xp) * 2.0 * w / np.sqrt(ximc * xipc)
-        out[bounce & (u > 0.0)] = (f * wt1).sum(axis=1) * half[:, 0]
-
-    cross = (~bounce) & (u > 0.0)
-    uc = u[cross]
-    if uc.size:
-        s1 = np.minimum(uc[:, None] ** (1.0 / r), 0.5 * eps0)
-        acc = np.zeros(uc.shape)
-        for lo, hi in ((0.0, s1), (s1, eps0)):
-            half = 0.5 * (hi - lo)
-            s = lo + half * (x2 + 1.0)
-            sr = s**r
-            xi = 1.0 + sr
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xp = np.where(s > 0.0, r * sr / np.where(s > 0.0, s, 1.0), 0.0)
-            ximc = sr + uc[:, None]
-            xipc = 2.0 - uc[:, None] + sr
-            f = xi * np.sqrt(1.0 + xp * xp) / np.sqrt(ximc * xipc)
-            acc += (f * wt2).sum(axis=1) * half[:, 0]
-        out[cross] = acc
-    return out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xp = np.where(s > 0.0, r * sr / np.where(s > 0.0, s, 1.0), 0.0)
+        ximc = sr + uc[:, None]
+        xipc = 2.0 - uc[:, None] + sr
+        f = xi * np.sqrt(1.0 + xp * xp) / np.sqrt(ximc * xipc)
+        acc += (f * wt).sum(axis=1) * half[:, 0]
+    return acc
 
 
 def default_thresholds(
@@ -194,7 +218,13 @@ def _tail_chunk(
     rng = chunk_rng(seed, index)
     psi = rng.uniform(window[0], window[1], size)
     res = 2.0 * upsilon0_batch(profile, psi)
-    res = res[np.isfinite(res)]
+    # inf (an exactly asymptotic entry) survives every threshold; NaN is a
+    # kernel failure that must not leave the counts while total keeps it
+    bad = int(np.isnan(res).sum())
+    if bad:
+        raise AccuracyError(
+            f"tail chunk {index}: GL kernel returned NaN for {bad} of {size} samples"
+        )
     return (res[None, :] > thresholds[:, None]).sum(axis=1).astype(np.int64)
 
 

@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from neckflow import experiments
 from neckflow.bands import band_midpoint
+from neckflow.errors import AccuracyError
 from neckflow.experiments import (
     ExperimentConfig,
+    _BLOCK_ROWS,
+    _gl_rule,
+    _tail_chunk,
     chunk_rng,
     default_thresholds,
     distortion_suite,
@@ -47,14 +52,36 @@ def test_entry_scales_matches_scalar_path(prof4):
         assert bounce[k] == (ent.c > 1.0)
 
 
-def test_upsilon0_batch_matches_adaptive(prof4):
-    psis = []
-    for n in (12, 40, 200, 1000):
-        for side in ("bouncing", "crossing"):
-            psis.append(band_midpoint(prof4, n, side)[1])
-    batch = upsilon0_batch(prof4, np.array(psis))
-    for k, psi in enumerate(psis):
-        assert batch[k] == pytest.approx(upsilon0(prof4, psi), rel=1e-10)
+def test_upsilon0_batch_matches_adaptive(prof4, prof6):
+    for prof in (prof4, prof6):
+        psis = []
+        for n in (12, 40, 200, 1000, 3200):
+            for side in ("bouncing", "crossing"):
+                psis.append(band_midpoint(prof, n, side)[1])
+        batch = upsilon0_batch(prof, np.array(psis))
+        for k, psi in enumerate(psis):
+            assert batch[k] == pytest.approx(upsilon0(prof, psi), rel=1e-10)
+
+
+def test_upsilon0_batch_blocks_match_rows(prof_narrow):
+    # eps0 = 0.5 makes the entry residual zero, so psi0 itself has u == 0
+    psi0 = prof_narrow.asymptotic_angle()
+    lo, hi = entry_window(prof_narrow)
+    n = 3 * _BLOCK_ROWS + 37
+    psi = np.append(np.random.default_rng(3).uniform(lo, hi, n - 1), psi0)
+    u, bounce = entry_scales(prof_narrow, psi)
+    assert u[-1] == 0.0 and 0 < bounce.sum() < n - 1
+    batch = upsilon0_batch(prof_narrow, psi)
+    rows = np.concatenate([upsilon0_batch(prof_narrow, psi[k : k + 1]) for k in range(n)])
+    assert np.array_equal(batch, rows)
+    assert math.isinf(batch[-1]) and np.isfinite(batch[:-1]).all()
+    assert upsilon0_batch(prof_narrow, np.array([])).shape == (0,)
+
+
+def test_gl_rule_is_cached_read_only():
+    x, wt = _gl_rule(320)
+    assert _gl_rule(320)[0] is x
+    assert not x.flags.writeable and not wt.flags.writeable
 
 
 def test_upsilon0_batch_asymptotic_is_inf(prof4):
@@ -91,6 +118,32 @@ def test_tail_estimate_serial_parallel_identical():
     para = tail_estimate(ExperimentConfig(**base, threads=8))
     assert np.array_equal(serial.counts, para.counts)
     assert serial.exponent == para.exponent
+
+
+def test_tail_estimate_pinned_counts():
+    # exact survivor counts of the 320-node kernel; a change that moves the
+    # kernel's bits (node count, evaluation order) must update them on purpose
+    r4 = tail_estimate(ExperimentConfig(r=4.0, samples=60_000, seed=5))
+    assert r4.counts.tolist() == [1446, 963, 644, 422, 257, 150, 93, 52, 35]
+    r6 = tail_estimate(ExperimentConfig(r=6.0, samples=60_000, seed=5))
+    assert r6.counts.tolist() == [1305, 878, 582, 379, 233, 136, 85, 44, 28]
+
+
+def _chunk_with_kernel(prof, monkeypatch, values, index=0):
+    values = np.asarray(values, dtype=float)
+    monkeypatch.setattr(experiments, "upsilon0_batch", lambda profile, psi: values)
+    thresholds = np.array([1.0, 10.0, 100.0])
+    return _tail_chunk(prof, 0, index, values.size, entry_window(prof), thresholds)
+
+
+def test_tail_chunk_raises_on_nan(prof4, monkeypatch):
+    with pytest.raises(AccuracyError, match="chunk 7"):
+        _chunk_with_kernel(prof4, monkeypatch, [1.0, np.nan, 2.0], index=7)
+
+
+def test_tail_chunk_counts_inf_as_survivor(prof4, monkeypatch):
+    counts = _chunk_with_kernel(prof4, monkeypatch, [0.1, np.inf, 3.0])
+    assert counts.tolist() == [2, 1, 1]
 
 
 def test_tail_estimate_rejects_tiny_runs():
