@@ -23,17 +23,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import bands, transition
-from .asymptotics import (
-    empirical_ratio,
-    fit_exponent,
-    limit_constant_c1,
-    limit_constant_c2,
-)
+from .asymptotics import empirical_ratio, fit_exponent, limit_constant, model_triples
 from .dynamics import GeodesicState, integrate, neck_transit
 from .experiments import (
     ExperimentConfig,
@@ -270,15 +265,7 @@ def criterion_7_model_integrals() -> CriterionResult:
     failures: list[str] = []
     details = {}
     r = 4.0
-    for kind, alpha, beta, q_off in (
-        ("1a", 0.5, 0.0, 0.0),
-        ("1a", 1.5, 0.0, 0.0),
-        ("1a", 2.5, 0.0, 0.0),
-        ("2a", 1.5, 1.0, -1.0),
-        ("2b", 1.5, 1.0, -2.0),
-        ("2b", 2.5, 2.0, -1.0),
-    ):
-        q = r + q_off if kind != "1a" else 0.0
+    for kind, alpha, beta, q in model_triples(r):
         b = 1e-6 if kind == "1a" else 1e-4
         tol = 0.01 if kind == "1a" else 0.02
         ratio = float(
@@ -293,12 +280,8 @@ def criterion_7_model_integrals() -> CriterionResult:
             abs(ratio - 1.0) <= tol,
             f"ratio {label} = {ratio:.5f}, off 1 by more than {tol:.0%}",
         )
-        if kind == "1a":
-            ours, brute = limit_constant_c1(r, alpha), _brute_c1(r, alpha)
-        else:
-            ours, brute = limit_constant_c2(r, q, alpha, beta), _brute_c2(
-                r, q, alpha, beta
-            )
+        ours = limit_constant(kind, r, alpha, q=q, beta=beta)
+        brute = _brute_c1(r, alpha) if kind == "1a" else _brute_c2(r, q, alpha, beta)
         rel = abs(ours - brute) / brute
         details[f"oracle_rel_{label}"] = rel
         _check(
@@ -455,14 +438,9 @@ def criterion_11_determinism(seed: int = 7) -> CriterionResult:
 
     a = render(tail_estimate(base))
     b = render(tail_estimate(base))
-    c = render(tail_estimate(ExperimentConfig(**{**base.as_dict(), "threads": 8})))
+    c = render(tail_estimate(replace(base, threads=8)))
     _check(failures, a == b, "identical serial reruns differ")
-    # thread count is execution detail, not configuration that may alter data
-    _check(
-        failures,
-        _strip_threads(a) == _strip_threads(c),
-        "serial vs 8-way parallel outputs differ",
-    )
+    _check(failures, a == c, "serial vs 8-way parallel outputs differ")
     cfg = ExperimentConfig(r=4.0, n_min=25, n_max=200)
     s1 = scaling_suite(cfg, n_points=6)
     s2 = scaling_suite(cfg, n_points=6)
@@ -473,12 +451,6 @@ def criterion_11_determinism(seed: int = 7) -> CriterionResult:
         "scaling suite reruns differ",
     )
     return _result(11, "deterministic-outputs", t0, {"bytes": len(a)}, failures)
-
-
-def _strip_threads(text: str) -> str:
-    return "\n".join(
-        line for line in text.split("\n") if '"threads"' not in line
-    )
 
 
 CRITERIA = (

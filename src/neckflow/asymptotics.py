@@ -172,6 +172,15 @@ def finite_model_integral(
     return val
 
 
+def limit_constant(
+    kind: str, r: float, alpha: float, q: float = 0.0, beta: float = 0.0
+) -> float:
+    """The limit constant of a model-integral kind: C1 for 1a, else C2."""
+    if kind == "1a":
+        return limit_constant_c1(r, alpha)
+    return limit_constant_c2(r, q, alpha, beta)
+
+
 def predicted_exponent(kind: str, r: float, alpha: float, q: float, beta: float) -> float:
     if kind == "1a":
         return 1.0 / r - alpha
@@ -192,10 +201,7 @@ def empirical_ratio(
     The ratios approach 1 as b decreases; how fast depends on eps (the
     neglected part of the limit integral lives beyond eps/b^(1/r)).
     """
-    if kind == "1a":
-        c = limit_constant_c1(r, alpha)
-    else:
-        c = limit_constant_c2(r, q, alpha, beta)
+    c = limit_constant(kind, r, alpha, q=q, beta=beta)
     e = predicted_exponent(kind, r, alpha, q, beta)
     out = []
     for b in b_values:
@@ -214,6 +220,15 @@ MODEL_TRIPLES = (
     ("2b", 1.5, 1.0, -2.0),
     ("2b", 2.5, 2.0, -1.0),
 )
+
+
+def model_triples(r: float):
+    """MODEL_TRIPLES at profile exponent r, as (kind, alpha, beta, q).
+
+    q = r + q_off for the 2-kinds; kind 1a has no q factor and gets 0.
+    """
+    for kind, alpha, beta, q_off in MODEL_TRIPLES:
+        yield kind, alpha, beta, (0.0 if kind == "1a" else r + q_off)
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,13 @@ invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import math
+import dataclasses
 import sys
 
 import numpy as np
 
 from . import __version__, acceptance, bands, linearization, transition
-from .asymptotics import empirical_ratio, limit_constant_c1, limit_constant_c2
+from .asymptotics import empirical_ratio, limit_constant, model_triples
 from .dynamics import GeodesicState, integrate, neck_transit
 from .errors import AccuracyError, BandTooDeepError, IntegrationStallError
 from .experiments import (
@@ -37,31 +37,36 @@ from .outputs import (
 )
 from .surface import SurfaceProfile
 
+#: the ExperimentConfig fields a run may set; chunk_size is internal
+_EXPERIMENT_KEYS = tuple(
+    f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "chunk_size"
+)
 _DEFAULTS = {
-    "r": 4.0,
-    "eps0": 1.0,
-    "n0": 10,
-    "seed": 0,
-    "samples": 1_000_000,
-    "n_min": 25,
-    "n_max": 3200,
+    **{key: getattr(ExperimentConfig, key) for key in _EXPERIMENT_KEYS},
     "tol": 1e-8,
-    "threads": 1,
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("common")
-    g.add_argument("--r", type=float, help="profile exponent (default 4)")
-    g.add_argument("--eps0", type=float, help="neck half-width (default 1)")
-    g.add_argument("--n0", type=int, help="shallowest tracked band (default 10)")
-    g.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    g.add_argument("--samples", type=int, help="Monte-Carlo sample count")
-    g.add_argument("--n-min", type=int, help="smallest band index (default 25)")
-    g.add_argument("--n-max", type=int, help="largest band index (default 3200)")
-    g.add_argument("--tol", type=float, help="accuracy tolerance where applicable")
-    g.add_argument("--threads", type=int, help="worker pool size (default 1)")
+    for key, text in (
+        ("r", "profile exponent"),
+        ("eps0", "neck half-width"),
+        ("n0", "shallowest tracked band"),
+        ("seed", "RNG seed"),
+        ("samples", "Monte-Carlo sample count"),
+        ("n_min", "smallest band index"),
+        ("n_max", "largest band index"),
+        ("tol", "accuracy tolerance where applicable"),
+        ("threads", "worker pool of tails; never changes output bytes"),
+    ):
+        default = _DEFAULTS[key]
+        g.add_argument(
+            "--" + key.replace("_", "-"),
+            type=type(default),
+            help=f"{text} (default {default})",
+        )
     g.add_argument("--out", help="output file (default stdout)")
     g.add_argument("--format", choices=("csv", "json"), help="output format")
     g.add_argument("--config", help="key=value file; flags override it")
@@ -161,27 +166,20 @@ def _profile(cfg: dict) -> SurfaceProfile:
 
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
-    return ExperimentConfig(
-        r=cfg["r"],
-        eps0=cfg["eps0"],
-        seed=cfg["seed"],
-        samples=cfg["samples"],
-        n0=cfg["n0"],
-        n_min=cfg["n_min"],
-        n_max=cfg["n_max"],
-        threads=cfg["threads"],
-    )
+    return ExperimentConfig(**{key: cfg[key] for key in _EXPERIMENT_KEYS})
 
 
-def _emit(args, cfg, rows=None, columns=None, tables=None, fits=None) -> None:
-    fmt = args.format or args.default_format
+def _emit(args, cfg, rows=None, columns=None, tables=None, fits=None, fmt=None) -> None:
+    fmt = fmt or args.format or args.default_format
     if fmt == "csv":
         text = csv_text(rows or [], columns)
     else:
         tables = dict(tables or {})
         if rows is not None:
             tables.setdefault("rows", rows)
-        text = json_text(json_payload(cfg, tables, fits or {}))
+        # threads schedules the work and never changes it, so it is not echoed
+        echo = {key: val for key, val in cfg.items() if key != "threads"}
+        text = json_text(json_payload(echo, tables, fits or {}))
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
@@ -319,22 +317,10 @@ def cmd_distortion(args, cfg) -> int:
 def cmd_asymptotics(args, cfg) -> int:
     r = cfg["r"]
     rows = []
-    for kind, alpha, beta, q_off in (
-        ("1a", 0.5, 0.0, 0.0),
-        ("1a", 1.5, 0.0, 0.0),
-        ("1a", 2.5, 0.0, 0.0),
-        ("2a", 1.5, 1.0, -1.0),
-        ("2b", 1.5, 1.0, -2.0),
-        ("2b", 2.5, 2.0, -1.0),
-    ):
-        q = r + q_off if kind != "1a" else 0.0
+    for kind, alpha, beta, q in model_triples(r):
         b_floor = 1e-6 if kind == "1a" else 1e-4
         b_values = np.geomspace(1e-2, b_floor, 5)
-        constant = (
-            limit_constant_c1(r, alpha)
-            if kind == "1a"
-            else limit_constant_c2(r, q, alpha, beta)
-        )
+        constant = limit_constant(kind, r, alpha, q=q, beta=beta)
         ratios = empirical_ratio(
             kind, r, alpha, b_values, eps=2.0, q=q, beta=beta
         )
@@ -385,12 +371,8 @@ def cmd_report(args, cfg) -> int:
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"[{status}] criterion {res.number}: {res.name} ({res.runtime:.1f}s)")
-    text = json_text(json_payload(cfg, {"report": payload}, {}))
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # the report is a nested document, so it is JSON whatever --format says
+    _emit(args, cfg, tables={"report": payload}, fmt="json")
     return 0 if payload["passed"] else 1
 
 

@@ -39,7 +39,7 @@ def _curvature_unchecked(profile: SurfaceProfile, s: float) -> float:
     ar = a**r
     xi = 1.0 + ar
     d1 = r * a ** (r - 1.0)
-    d2 = r * (r - 1.0) * a ** (r - 2.0) if r != 2.0 else r * (r - 1.0)
+    d2 = r * (r - 1.0) * a ** (r - 2.0)
     return -d2 / (xi * (1.0 + d1 * d1) ** 2)
 
 

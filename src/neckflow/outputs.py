@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import enum
 import io
 import json
 
@@ -42,11 +43,6 @@ def csv_text(rows, columns=None) -> str:
     return buf.getvalue()
 
 
-def write_csv(path, rows, columns=None) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(csv_text(rows, columns))
-
-
 def jsonable(obj):
     """Recursively convert results (dataclasses, numpy) to JSON-safe data."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -67,7 +63,7 @@ def jsonable(obj):
         return float(obj)
     if isinstance(obj, np.integer):
         return int(obj)
-    if hasattr(obj, "value") and obj.__class__.__module__.endswith("surface"):
+    if isinstance(obj, enum.Enum):
         return obj.value  # enum members serialize by their label
     return obj
 
@@ -83,11 +79,6 @@ def json_payload(config: dict, tables: dict, fits: dict) -> dict:
 
 def json_text(payload: dict) -> str:
     return json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"
-
-
-def write_json(path, payload: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(json_text(payload))
 
 
 TRAJECTORY_COLUMNS = ["t", "s", "theta", "psi", "c_drift"]

@@ -39,7 +39,7 @@ from scipy.integrate import quad
 from . import bands
 from .bands import HomogeneityBand, band_of
 from .errors import AccuracyError, AsymptoticEntryError, BandTooDeepError
-from .surface import SurfaceProfile, TrajectoryClass, classify
+from .surface import SurfaceProfile, TrajectoryClass
 
 #: quadrature request; the certified post-condition is 1e-9 relative
 _EPSREL = 1e-11

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from neckflow import __version__
+from neckflow.asymptotics import MODEL_TRIPLES
 from neckflow.cli import build_parser, main
 from neckflow.outputs import BAND_COLUMNS, TRAJECTORY_COLUMNS, ZETA_COLUMNS
 
@@ -143,6 +144,38 @@ def test_tails_rerun_is_byte_identical(tmp_path, capsys):
     assert payload["tables"]["exponent"] > 0
 
 
+def test_tails_threads_do_not_change_bytes(tmp_path, capsys):
+    argv = ["tails", "--samples", "20000", "--seed", "3", "--out"]
+    a, b = tmp_path / "t1.json", tmp_path / "t2.json"
+    assert run(argv + [str(a), "--threads", "1"], capsys)[0] == 0
+    assert run(argv + [str(b), "--threads", "2"], capsys)[0] == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert "threads" not in json.loads(a.read_text())["config"]
+
+
+def test_threads_config_key_still_accepted(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("threads = 2\n")
+    code, out, _ = run(
+        ["bands", "--config", str(cfg_file), "--n-max", "100", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    assert "threads" not in json.loads(out)["config"]
+
+
+def test_asymptotics_rows_follow_model_triples(capsys):
+    code, out, _ = run(["asymptotics"], capsys)
+    assert code == 0
+    header, *lines = out.strip().split("\n")
+    assert header == "kind,alpha,beta,q,b,limit_constant,ratio"
+    assert len(lines) == 5 * len(MODEL_TRIPLES)
+    for k, (kind, alpha, beta, q_off) in enumerate(MODEL_TRIPLES):
+        q = 0.0 if kind == "1a" else 4.0 + q_off  # at the default r = 4
+        for line in lines[5 * k : 5 * k + 5]:
+            assert line.split(",")[:4] == [kind, repr(alpha), repr(beta), repr(q)]
+
+
 def test_report_single_criterion(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, out, _ = run(["report", "--only", "8", "--out", str(out_file)], capsys)
@@ -172,3 +205,12 @@ def test_parser_covers_every_command():
         "hyperbolicity",
         "report",
     }
+
+
+def test_report_csv_format_writes_json(tmp_path, capsys):
+    out_file = tmp_path / "report.out"
+    code, _, _ = run(
+        ["report", "--only", "8", "--format", "csv", "--out", str(out_file)], capsys
+    )
+    assert code == 0
+    assert json.loads(out_file.read_text())["tables"]["report"]["passed"] is True

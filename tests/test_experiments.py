@@ -84,12 +84,22 @@ def test_gl_rule_is_cached_read_only():
     assert not x.flags.writeable and not wt.flags.writeable
 
 
-def test_upsilon0_batch_asymptotic_is_inf(prof4):
-    psi0 = prof4.asymptotic_angle()
-    # entry_scales can return u = 0 only exactly at a root of the product
-    # form; feed psi0 itself, whose gap is the one-ulp residual or zero
-    vals = upsilon0_batch(prof4, np.array([psi0]))
-    assert vals[0] > 100.0 or math.isinf(vals[0])
+def test_upsilon0_batch_asymptotic_is_inf(prof_narrow):
+    # at eps0 = 0.5 the inversion residual of psi0 is zero, so u == 0
+    psi0 = np.array([prof_narrow.asymptotic_angle()])
+    assert entry_scales(prof_narrow, psi0)[0][0] == 0.0
+    assert math.isinf(upsilon0_batch(prof_narrow, psi0)[0])
+
+
+def test_upsilon0_batch_one_ulp_gap_is_finite(prof4, prof6):
+    # at eps0 = 1, psi0 keeps the one-ulp residual as its gap: u > 0, so the
+    # kernel integrates a finite but very long transit instead of returning inf
+    for prof in (prof4, prof6):
+        psi0 = np.array([prof.asymptotic_angle()])
+        u = entry_scales(prof, psi0)[0][0]
+        assert 0.0 < u <= 4.0 * np.finfo(float).eps
+        val = upsilon0_batch(prof, psi0)[0]
+        assert math.isfinite(val) and val > 100.0
 
 
 def test_default_thresholds_monotone(prof4):
@@ -196,3 +206,12 @@ def test_experiment_config_roundtrip():
     d = cfg.as_dict()
     assert d["seed"] == 11 and d["samples"] == 50_000
     assert ExperimentConfig(**d) == cfg
+
+
+def test_experiment_config_threads_is_not_echoed():
+    cfg = ExperimentConfig(r=6.0, seed=11, threads=8)
+    assert "threads" not in cfg.as_dict()
+    assert cfg.as_dict() == ExperimentConfig(r=6.0, seed=11).as_dict()
+    # threads schedules the run, it does not define it
+    assert ExperimentConfig(**cfg.as_dict()) == cfg
+    assert cfg.threads == 8
