@@ -136,6 +136,14 @@ class GeodesicPath:
         return np.column_stack([times, y[0], y[1], y[2], drift])
 
 
+def _check_stall(sol) -> None:
+    """Raise IntegrationStallError, with the time reached, if solve_ivp broke down."""
+    if sol.status == -1:
+        raise IntegrationStallError(
+            f"solver stalled: {sol.message}", t_reached=float(sol.t[-1])
+        )
+
+
 def _measure_drift(profile: SurfaceProfile, sol, c0: float, t0: float, t1: float) -> float:
     ts = np.linspace(t0, t1, 257)
     y = sol.sol(ts)
@@ -185,10 +193,7 @@ def integrate(
             atol=tols[1],
             max_step=max_step,
         )
-        if sol.status == -1:
-            raise IntegrationStallError(
-                f"solver stalled: {sol.message}", t_reached=float(sol.t[-1])
-            )
+        _check_stall(sol)
         drift = _measure_drift(profile, sol, c0, t_span[0], sol.t[-1])
         if drift_tol is None or drift <= drift_tol:
             break

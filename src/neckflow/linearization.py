@@ -1,17 +1,21 @@
-"""Jacobi and Riccati equations along frozen host geodesics.
+"""Jacobi and Riccati equations along host geodesics.
 
-The geodesic path is integrated first (dynamics.integrate) and treated as
-fixed data here; the scalar linearized equations
+The scalar linearized equations
 
     j'' + K(t) j = 0          (Jacobi)
     u'  + u^2 + K(t) = 0      (Riccati, u = j'/j)
 
-are then solved over its dense output.  Since K <= 0 on the neck, Riccati
-solutions started at u >= 0 stay nonnegative, and the unstable curvature
-k+ of a vector is recovered by relaxing two seeds over a finite backward
-window and reading off their common value at the endpoint; the residual
-seed separation is reported as an explicit confidence diagnostic, because
-the contraction that forgets the seed is weak near the degenerate parallel.
+are solved along a host geodesic.  integrate_jacobi and integrate_riccati
+take an integrated host path (dynamics.integrate) as fixed data and read
+K(t) off its dense output.  unstable_riccati flows its own host instead:
+since K <= 0 on the neck, Riccati solutions started at u >= 0 stay
+nonnegative, and the unstable curvature k+ of a vector is recovered by
+relaxing two seeds over a finite backward window and reading off their
+common value at the endpoint.  The seeds ride in one DOP853 run together
+with the footpoint they need, and the host's return to the input vector
+is the runtime error estimate.  The residual seed separation is reported
+as an explicit confidence diagnostic, because the contraction that
+forgets the seed is weak near the degenerate parallel.
 """
 
 from __future__ import annotations
@@ -22,32 +26,30 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .dynamics import GeodesicPath, GeodesicState, integrate, reverse
+from .dynamics import (
+    GeodesicPath,
+    GeodesicState,
+    _check_stall,
+    _make_events,
+    _make_rhs,
+    reverse,
+)
 from .errors import AccuracyError
 from .surface import SurfaceProfile
 
 _RTOL = 1e-11
 _ATOL = 1e-13
 _BLOWUP = 1e8
-
-
-def _curvature_unchecked(profile: SurfaceProfile, s: float) -> float:
-    # dense outputs can overshoot |s|=eps0 by a root-finding ulp or two,
-    # where the profile formula still extends smoothly
-    r = profile.r
-    a = abs(s)
-    ar = a**r
-    xi = 1.0 + ar
-    d1 = r * a ** (r - 1.0)
-    d2 = r * (r - 1.0) * a ** (r - 2.0)
-    return -d2 / (xi * (1.0 + d1 * d1) ** 2)
+# the relaxed host must land back on the input vector to this (s and psi)
+_CLOSURE_TOL = 1e-9
 
 
 def _host_curvature(profile: SurfaceProfile, path: GeodesicPath):
     sol = path._sol
+    curvature_unchecked = profile.curvature_unchecked
 
     def K(t):
-        return _curvature_unchecked(profile, float(sol(t)[0]))
+        return curvature_unchecked(float(sol(t)[0]))
 
     return K
 
@@ -88,6 +90,7 @@ def integrate_jacobi(
         rtol=rtol,
         atol=atol,
     )
+    _check_stall(sol)
     return JacobiPath(t=sol.t, j=sol.y[0], jp=sol.y[1], _sol=sol.sol)
 
 
@@ -149,6 +152,7 @@ def integrate_riccati(
         rtol=rtol,
         atol=atol,
     )
+    _check_stall(sol)
     blow_up = None
     if sol.t_events[0].size:
         # past u = -B the solution reaches -inf within 1/B; bracket it
@@ -185,6 +189,46 @@ class UnstableEstimate:
     confident: bool
 
 
+def _relax(profile, state, relax_time, seeds, rtol, atol):
+    """Both legs of unstable_riccati: (window, truncated, seed ends, closure)."""
+    host = _make_rhs(profile)
+    back = solve_ivp(
+        host,
+        (0.0, relax_time),
+        reverse(state).as_array(),
+        method="DOP853",
+        events=_make_events(profile)[:2],
+        rtol=rtol / 100.0,
+        atol=atol / 100.0,
+    )
+    _check_stall(back)
+    window = float(back.t[-1])
+    curvature_unchecked = profile.curvature_unchecked
+
+    def rhs(tau, y):
+        # theta is left out: no right-hand side reads it
+        s, psi, u0, u1 = y
+        ds, _, dpsi = host(tau, (s, 0.0, psi))
+        k = curvature_unchecked(s)
+        return (ds, dpsi, -(u0 * u0) - k, -(u1 * u1) - k)
+
+    s_start, _, psi_start = back.y[:, -1]
+    fwd = solve_ivp(
+        rhs,
+        (0.0, window),
+        [s_start, psi_start + math.pi, seeds[0], seeds[1]],
+        method="DOP853",
+        rtol=rtol,
+        atol=atol,
+    )
+    _check_stall(fwd)
+    s_end, psi_end, end0, end1 = (float(v) for v in fwd.y[:, -1])
+    closure = max(
+        abs(s_end - state.s), abs(math.remainder(psi_end - state.psi, 2.0 * math.pi))
+    )
+    return window, back.status == 1, (end0, end1), closure
+
+
 def unstable_riccati(
     profile: SurfaceProfile,
     state: GeodesicState,
@@ -196,49 +240,44 @@ def unstable_riccati(
 ) -> UnstableEstimate:
     """Estimate k+(v) by relaxing the Riccati equation over a past window.
 
-    The backward orbit of v is realized as the forward orbit of the reversed
-    vector (the curvature along it is the same footpoint function), cut at
-    the neck boundary or at relax_time, whichever comes first.  Each seed is
-    integrated forward over the window; their mean at the endpoint is the
-    estimate and their separation the confidence spread.  Seeds must be
-    nonnegative so the comparison principle keeps u >= 0 throughout.
+    Two DOP853 runs, no dense output.  The backward leg flows the reversed
+    vector (whose orbit is the backward orbit of v) to the neck boundary or
+    to relax_time, whichever comes first, at rtol/100 and atol/100: the
+    forward leg amplifies its endpoint error along the unstable direction.
+    The forward leg reverses that endpoint and integrates the state
+    (s, psi, u_seed0, u_seed1) over the window at rtol and atol, so each
+    seed reads K at the footpoint flowed alongside it.  The seeds' mean at
+    the endpoint is the estimate and their separation the confidence
+    spread.  Seeds must be nonnegative so the comparison principle keeps
+    u >= 0 throughout.
+
+    The host must land back on v.  If its closure error in s or psi
+    exceeds _CLOSURE_TOL, both legs are repeated once at a tenth of their
+    tolerances, and a run that still misses raises AccuracyError.  Solver
+    breakdown raises IntegrationStallError.
     """
     if min(seeds) < 0.0:
         raise ValueError("seeds must be nonnegative")
-    rev_path = integrate(
-        profile,
-        reverse(state),
-        (0.0, relax_time),
-        rtol=rtol,
-        atol=atol,
-        drift_tol=None,
-        log_events=False,
-    )
-    window = rev_path.t_end
-    truncated = rev_path.terminated
-    sol = rev_path._sol
-
-    def K(tau):
-        # host time t = tau - window; footpoint of the host at t is the
-        # footpoint of the reversed orbit at window - tau
-        return _curvature_unchecked(profile, float(sol(window - tau)[0]))
-
-    def rhs(tau, y):
-        u = y[0]
-        return (-(u * u) - K(tau),)
-
-    ends = []
-    for seed in seeds:
-        rsol = solve_ivp(
-            rhs, (0.0, window), [seed], method="DOP853", rtol=rtol, atol=atol
+    profile._check_domain(state.s)
+    for scale in (1.0, 0.1):
+        window, truncated, (end0, end1), closure = _relax(
+            profile, state, relax_time, seeds, rtol * scale, atol * scale
         )
-        ends.append(float(rsol.y[0][-1]))
-    spread = abs(ends[1] - ends[0])
-    value = max(0.5 * (ends[0] + ends[1]), 0.0)
+        if closure <= _CLOSURE_TOL:
+            break
+    else:
+        raise AccuracyError(
+            f"relaxed host misses the input vector by {closure:.3e} "
+            f"(tolerance {_CLOSURE_TOL:.0e}) at s={state.s}, psi={state.psi}, "
+            "even after tightening",
+            achieved=closure,
+        )
+    spread = abs(end1 - end0)
+    value = max(0.5 * (end0 + end1), 0.0)
     return UnstableEstimate(
         value=value,
         spread=spread,
-        seed_values=(ends[0], ends[1]),
+        seed_values=(end0, end1),
         window=window,
         truncated=truncated,
         confident=spread <= spread_tol,
@@ -298,7 +337,7 @@ def horocycle_scan(
             minus = unstable_riccati(
                 profile, reverse(st), relax_time=relax_time, spread_tol=spread_tol
             )
-            K = _curvature_unchecked(profile, float(s))
+            K = profile.curvature(float(s))
             rows.append(
                 {
                     "s": float(s),

@@ -85,8 +85,22 @@ class SurfaceProfile:
 
         K <= 0 everywhere and K = 0 exactly at the ridge s = 0.
         """
-        xi, d1, d2 = self.profile_eval(s)
-        return -d2 / (xi * (1.0 + d1 * d1) ** 2)
+        self._check_domain(s)
+        return self.curvature_unchecked(s)
+
+    def curvature_unchecked(self, s):
+        """K(s) without the domain check, for ODE right-hand sides.
+
+        Solver stages and event roots overshoot |s| = eps0 by a root-finding
+        ulp, and the formula extends smoothly there.  A float gives a float
+        in plain float arithmetic, cheap enough for one call per RHS
+        evaluation; arrays work too.
+        """
+        r = self.r
+        a = abs(s)
+        d1 = r * a ** (r - 1.0)
+        d2 = r * (r - 1.0) * a ** (r - 2.0)
+        return -d2 / ((1.0 + a**r) * (1.0 + d1 * d1) ** 2)
 
     def curvature_ratio(self, s):
         """The pinching ratio -K(s)/|s|^(r-2) = r(r-1)/(xi*(1+xi'^2)^2).

@@ -115,6 +115,38 @@ def jacobi_reference(curvature_of_t, j0, jp0, t1, steps=20_000):
     return rk4(f, [j0, jp0], 0.0, t1, steps)
 
 
+def unstable_riccati_reference(r, s, psi, window, seeds=(0.0, 1.0), steps=4000):
+    """Seed values at the vector (s, psi) after relaxing over window, by RK4.
+
+    The reversed vector (s, psi + pi) is flowed for window in 2*steps RK4
+    steps of the reduced geodesic equations
+      s' = sin(psi) / sqrt(1+xi'^2),  psi' = xi' cos(psi) / (xi sqrt(1+xi'^2)),
+    keeping every footpoint.  Both seeds of u' = -u^2 - K then run forward
+    over those footpoints in reverse, in steps RK4 steps of twice the size,
+    so every curvature value a stage needs is a stored footpoint.
+    """
+
+    def geodesic(t, y):
+        xi, root = _profile_terms(r, y[0])
+        d1 = r * np.sign(y[0]) * np.abs(y[0]) ** (r - 1.0)
+        return np.array([math.sin(y[1]) / root, d1 * math.cos(y[1]) / (xi * root)])
+
+    h = window / (2 * steps)
+    y = np.array([s, psi + math.pi])
+    foot = [s]
+    for k in range(2 * steps):
+        y = rk4(geodesic, y, k * h, (k + 1) * h, 1)
+        foot.append(y[0])
+    a = np.abs(np.array(foot[::-1]))  # footpoint at riccati time i*h
+    xi, root = _profile_terms(r, a)
+    K = -r * (r - 1.0) * a ** (r - 2.0) / (xi * root**4)
+
+    def riccati(tau, u):
+        return -u * u - K[round(tau / h)]
+
+    return rk4(riccati, np.array(seeds, dtype=float), 0.0, window, steps)
+
+
 def c1_closed_form(r, alpha):
     """int_0^inf (x^r+1)^(-alpha) dx = Gamma(1/r)Gamma(alpha-1/r)/(r Gamma(alpha))."""
     return gamma(1.0 / r) * gamma(alpha - 1.0 / r) / (r * gamma(alpha))

@@ -1,11 +1,14 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import _oracles as orc
+from neckflow import linearization
 from neckflow.dynamics import GeodesicState, integrate, neck_transit, reverse
-from neckflow.errors import AccuracyError
+from neckflow.errors import AccuracyError, IntegrationStallError
 from neckflow.linearization import (
     horocycle_scan,
     integrate_jacobi,
@@ -16,6 +19,12 @@ from neckflow.linearization import (
     sasaki_growth,
     unstable_riccati,
 )
+from neckflow.surface import SurfaceProfile
+
+
+@pytest.fixture(scope="module")
+def default_scan(prof4):
+    return horocycle_scan(prof4)
 
 
 def _ridge_path(prof, t1=5.0):
@@ -148,8 +157,8 @@ def test_k_minus_is_time_reversed_k_plus(prof4):
     assert k_plus(prof4, st).value > 0.0
 
 
-def test_horocycle_scan_default_grid(prof4):
-    rep = horocycle_scan(prof4)
+def test_horocycle_scan_default_grid(default_scan):
+    rep = default_scan
     assert len(rep.rows) == 32  # 8 footpoints x 4 angles
     assert rep.frac_unconfident <= 0.2
     for name in ("c3", "c4", "c7"):
@@ -163,3 +172,91 @@ def test_horocycle_scan_default_grid(prof4):
 def test_horocycle_scan_aborts_when_unconfident(prof4):
     with pytest.raises(AccuracyError, match="relax_time|longer window"):
         horocycle_scan(prof4, relax_time=0.5, spread_tol=1e-4)
+
+
+def test_horocycle_scan_default_constants_pinned(default_scan):
+    # the constants as the earlier dense-output relaxation computed them
+    assert default_scan.c3 == pytest.approx(0.8746388526192572, rel=1e-8)
+    assert default_scan.c4 == pytest.approx(0.6483479234692242, rel=1e-8)
+    assert default_scan.c7 == pytest.approx(1.9839035619146863, rel=1e-8)
+
+
+@pytest.mark.parametrize("r", [4.0, 6.0])
+@pytest.mark.parametrize(
+    "s, psi, relax_time, truncated",
+    [(0.05, 0.05, 4.0, False), (-0.2, 0.2, 2.0, False), (0.35, 0.2, 20.0, True)],
+)
+def test_unstable_riccati_against_rk4_oracle(r, s, psi, relax_time, truncated):
+    est = unstable_riccati(
+        SurfaceProfile(r, 1.0), GeodesicState(s, 0.0, psi), relax_time=relax_time
+    )
+    assert est.truncated is truncated
+    ref = orc.unstable_riccati_reference(r, s, psi, est.window, steps=2000)
+    assert est.seed_values[0] == pytest.approx(ref[0], abs=1e-8)
+    assert est.seed_values[1] == pytest.approx(ref[1], abs=1e-8)
+
+
+def test_unstable_riccati_closure_check_raises(prof4, monkeypatch):
+    monkeypatch.setattr(linearization, "_CLOSURE_TOL", 0.0)
+    with pytest.raises(AccuracyError) as info:
+        unstable_riccati(prof4, GeodesicState(0.2, 0.0, 0.3))
+    assert info.value.achieved > 0.0
+
+
+def test_unstable_riccati_tightens_once_on_a_closure_miss(monkeypatch):
+    # a long untruncated window at r=6 where the first run misses by ~2e-9
+    # and its seeds are ~6e-9 off; the run at a tenth of the tolerances
+    # closes to ~2e-10
+    relax = linearization._relax
+    rtols = []
+
+    def spy(profile, state, relax_time, seeds, rtol, atol):
+        rtols.append(rtol)
+        return relax(profile, state, relax_time, seeds, rtol, atol)
+
+    monkeypatch.setattr(linearization, "_relax", spy)
+    est = unstable_riccati(SurfaceProfile(6.0, 1.5), GeodesicState(0.525, 0.0, 0.2))
+    assert rtols == pytest.approx([1e-10, 1e-11])
+    assert not est.truncated
+    ref = orc.unstable_riccati_reference(6.0, 0.525, 0.2, est.window, steps=4000)
+    assert est.seed_values[0] == pytest.approx(ref[0], abs=2e-9)
+    assert est.seed_values[1] == pytest.approx(ref[1], abs=2e-9)
+
+
+def _stalling_solve_ivp(fail_on_call):
+    """A solve_ivp that breaks down on its fail_on_call-th call (from 1)."""
+    calls = []
+
+    def fake(fun, t_span, y0, **kw):
+        calls.append(t_span)
+        if len(calls) < fail_on_call:
+            return solve_ivp(fun, t_span, y0, **kw)
+        t_mid = 0.5 * (t_span[0] + t_span[1])
+        return SimpleNamespace(
+            status=-1,
+            message="Required step size is less than spacing between numbers.",
+            t=np.array([t_span[0], t_mid]),
+            y=np.array(y0, dtype=float)[:, None].repeat(2, axis=1),
+        )
+
+    return fake
+
+
+@pytest.mark.parametrize("leg", [1, 2])
+def test_unstable_riccati_stall_raises(prof4, monkeypatch, leg):
+    monkeypatch.setattr(linearization, "solve_ivp", _stalling_solve_ivp(leg))
+    with pytest.raises(IntegrationStallError) as info:
+        unstable_riccati(prof4, GeodesicState(0.0, 0.0, 0.0), relax_time=4.0)
+    assert info.value.t_reached == pytest.approx(2.0)
+
+
+def test_riccati_and_jacobi_stall_raise(prof4, monkeypatch):
+    path = _ridge_path(prof4)
+    monkeypatch.setattr(linearization, "solve_ivp", _stalling_solve_ivp(1))
+    for run in (
+        lambda: integrate_riccati(prof4, path, 0.5),
+        lambda: integrate_jacobi(prof4, path, 1.0, 0.5),
+    ):
+        with pytest.raises(IntegrationStallError) as info:
+            run()
+        assert info.value.t_reached == pytest.approx(2.5)
