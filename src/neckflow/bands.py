@@ -38,8 +38,18 @@ def band_of(c: float, n0: int = DEFAULT_N0) -> HomogeneityBand | None:
 
     None is returned for |c| = 1 (asymptotic), for boundary values where
     1/sqrt(||c|-1|) is an exact integer, and for bands shallower than n0.
+    The gap ||c|-1| is rounded here; where the exact gap is known, as for
+    an entry angle, band_of_gap is exact however deep the band.
     """
-    u = abs(abs(c) - 1.0)
+    return band_of_gap(abs(abs(c) - 1.0), BOUNCING if abs(c) > 1.0 else CROSSING, n0)
+
+
+def band_of_gap(u: float, side: str, n0: int = DEFAULT_N0) -> HomogeneityBand | None:
+    """Band of side containing the gap u = ||c|-1|, or None.
+
+    None is returned for u = 0 (asymptotic), for boundary values where
+    1/sqrt(u) is an exact integer, and for bands shallower than n0.
+    """
     if u == 0.0:
         return None
     m = 1.0 / math.sqrt(u)
@@ -48,7 +58,6 @@ def band_of(c: float, n0: int = DEFAULT_N0) -> HomogeneityBand | None:
         return None  # exactly on a band boundary
     if n < n0:
         return None
-    side = BOUNCING if abs(c) > 1.0 else CROSSING
     return HomogeneityBand(n, side)
 
 

@@ -8,12 +8,16 @@ therefore byte-identical no matter how many workers execute it, which is
 what lets the determinism contract extend to parallel execution.
 
 The tail experiment needs the half transit time Upsilon0 for ~1e6 entry
-angles, far too many for adaptive quadrature, so a fixed-order
-Gauss-Legendre engine evaluates the same regularized integrands as
-transition.upsilon0 in vectorized batches; its agreement with the adaptive
-path is a test fixture, not an assumption.  The engine builds its rule once
-per node count and evaluates rows in fixed blocks, so the memory each
-worker thread needs is bounded by block x nodes, not by the chunk size.
+angles, far too many for adaptive quadrature, so a Gauss-Legendre engine
+evaluates the same regularized integrands as transition.upsilon0 in
+vectorized batches.  Each row gets two panels split at its own scale, the
+outer one graded in a log variable, so the accuracy holds uniformly up to
+the asymptotic angle.  An embedded lower-order rule gives every row an
+error estimate: a row above the adaptive path's 1e-9 relative ceiling is
+redone at twice the nodes, and one still above it raises AccuracyError,
+so the engine never returns a degraded number.  Rows run in fixed blocks
+on buffers allocated once per call, so the memory each worker thread
+needs does not grow with the chunk size.
 """
 
 from __future__ import annotations
@@ -30,14 +34,19 @@ from .asymptotics import ScalingFit, fit_exponent
 from .bands import DEFAULT_N0
 from .errors import AccuracyError
 from .surface import SurfaceProfile
+from .transition import _ERR_CEILING
 
-_GL_NODES = 320  # one bouncing panel; crossing uses two panels of half this
-# Rows per kernel pass.  A block x nodes temporary is then 160 KiB, which
-# glibc's allocator keeps and reuses from block to block.  With 256-row
-# blocks a 16384-row chunk ran 1.5-2x slower on a 2-core x86_64 host
-# (glibc 2.36): the larger freed temporaries went back to the OS and were
-# faulted in again.
-_BLOCK_ROWS = 64
+_GL_NODES = 64  # first level: a 32-node answer rule on each of two panels
+# Rows per first-level block: each of the _BUFFERS arrays holds 176 x 112
+# floats (both panels, answer and estimate nodes), 154 KiB, allocated once
+# per call.  Larger blocks mean fewer numpy calls, and each call hands the
+# GIL to the other pool thread: on a 2-core x86_64 host a 65536-sample
+# tail_estimate on two threads cost 0.28-0.32 s of CPU at 128 rows and
+# 0.23-0.30 s at 176, against about 0.20 s on one thread.  The buffers are
+# separate arrays: as one 770 KiB array they raised glibc's trim threshold
+# to twice that, and the benchmark's peak RSS by 0.7 MB.
+_BLOCK_ROWS = 176
+_BUFFERS = 5  # the node array and four integrand scratch arrays
 
 
 @dataclass(frozen=True)
@@ -100,76 +109,179 @@ def entry_scales(profile: SurfaceProfile, psi: np.ndarray):
 def upsilon0_batch(
     profile: SurfaceProfile, psi: np.ndarray, nodes: int = _GL_NODES
 ) -> np.ndarray:
-    """Half transit times for a batch of entry angles via fixed-order GL.
+    """Half transit times for a batch of entry angles, certified to 1e-9.
 
-    Bouncing rows integrate the w-regularized form on one panel; crossing
-    rows split [0, eps0] at the peak width u^(1/r) and use half the nodes
-    on each panel.  Angles exactly asymptotic (u = 0) return inf.
+    Each row is integrated on two graded panels split at its own scale
+    (see _graded_panels), nodes // 2 Gauss-Legendre nodes per panel; an
+    embedded rule of 3/4 as many nodes gives the error estimate.  A row
+    whose estimate exceeds the 1e-9 relative ceiling is redone at twice the
+    nodes, and if it still exceeds it AccuracyError is raised with the
+    worst relative estimate.  Angles exactly asymptotic (u = 0) return inf.
 
-    The rule for each node count is built once per process, and rows are
-    evaluated _BLOCK_ROWS at a time, so the kernel's temporaries hold
-    _BLOCK_ROWS x nodes floats each, whatever the batch size.  Each
-    row is computed on its own and summed over the same nodes in the same
-    order, so the result does not depend on the blocking.
+    Rows are evaluated in fixed blocks on buffers allocated once per call,
+    so memory does not grow with the batch.  Each row is computed on its
+    own and refined on its own estimate, so a row's value depends only on
+    its entry angle, never on the blocking or on the rest of the batch.
     """
     psi = np.asarray(psi, dtype=float)
     u, bounce = entry_scales(profile, psi)
     out = np.full(psi.shape, np.inf)
     finite = u > 0.0
-    for rows, kernel in (
+    for rows, integrand in (
         (bounce & finite, _bouncing_rows),
         (~bounce & finite, _crossing_rows),
     ):
         ur = u[rows]
-        vals = np.empty(ur.shape)
-        for i in range(0, ur.size, _BLOCK_ROWS):
-            vals[i : i + _BLOCK_ROWS] = kernel(profile, ur[i : i + _BLOCK_ROWS], nodes)
+        vals, rel = _blocked(integrand, profile, ur, nodes // 2)
+        redo = ~(rel <= _ERR_CEILING)  # a NaN estimate is redone too
+        if redo.any():
+            vals[redo], rel[redo] = _blocked(integrand, profile, ur[redo], nodes)
+            worst = float(np.max(rel[redo]))
+            if not worst <= _ERR_CEILING:
+                raise AccuracyError(
+                    f"GL tail kernel: relative error estimate {worst:.3e} at "
+                    f"{nodes} nodes per panel, above the 1e-9 ceiling",
+                    achieved=worst,
+                )
         out[rows] = vals
     return out
 
 
+def _blocked(integrand, profile: SurfaceProfile, u: np.ndarray, n: int):
+    """(value, relative error estimate) per row at n nodes per panel.
+
+    Blocks hold _BLOCK_ROWS rows at the first level and proportionally
+    fewer at higher node counts, so every level fits the same buffers.
+    """
+    width = 2 * _embedded_rule(n)[0].size
+    step = max(1, _BLOCK_ROWS * _GL_NODES // (2 * n))
+    work = [np.empty(min(step, u.size) * width) for _ in range(_BUFFERS)]
+    vals = np.empty(u.shape)
+    rel = np.empty(u.shape)
+    for i in range(0, u.size, step):
+        ub = u[i : i + step]
+        bufs = [buf[: ub.size * width].reshape(ub.size, width) for buf in work]
+        f, a, b = integrand(profile, ub[:, None])
+        vals[i : i + step], rel[i : i + step] = _graded_panels(f, a, b, n, bufs)
+    return vals, rel
+
+
 @functools.lru_cache(maxsize=8)
-def _gl_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre (nodes, weights), shared by every caller."""
-    x, wt = np.polynomial.legendre.leggauss(nodes)
+def _embedded_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (nodes, weights) of an n-node Gauss-Legendre rule and its
+    3n/4-node estimate rule, shared by every caller.
+
+    The nodes on [0, 1] of the two rules are concatenated; the weights are
+    repeated once more for the second panel, so one multiply weights both.
+    """
+    parts = [np.polynomial.legendre.leggauss(k) for k in (n, 3 * n // 4)]
+    x = 0.5 * (np.concatenate([p[0] for p in parts]) + 1.0)
+    wt = np.tile(0.5 * np.concatenate([p[1] for p in parts]), 2)
     x.flags.writeable = False
     wt.flags.writeable = False
     return x, wt
 
 
-def _bouncing_rows(profile: SurfaceProfile, ub: np.ndarray, nodes: int) -> np.ndarray:
-    r, eps0 = profile.r, profile.eps0
-    x, wt = _gl_rule(nodes)
-    y = ub[:, None] ** (1.0 / r)
-    q = y**r
-    half = 0.5 * np.sqrt(eps0 - y)
-    w = half * (x + 1.0)
-    s = y + w * w
-    sr = s**r
-    xi = 1.0 + sr
-    xp = r * sr / s
-    ximc = q * np.expm1(r * np.log1p(w * w / y))
-    xipc = 2.0 + ub[:, None] + sr
-    f = xi * np.sqrt(1.0 + xp * xp) * 2.0 * w / np.sqrt(ximc * xipc)
-    return (f * wt).sum(axis=1) * half[:, 0]
+def _graded_panels(f, a: np.ndarray, b, n: int, bufs):
+    """(value, relative error estimate) of int_0^b f per row, 0 < a < b.
+
+    The inner panel [0, a] is plain Gauss-Legendre.  The outer panel [a, b]
+    is Gauss-Legendre in t for z = a*exp(t): beyond the row's own scale a
+    the integrand decays like a power of z, which is smooth in t however
+    small a is.  f is evaluated in one pass on the nodes of both panels and
+    both rules, in place on bufs; each panel's estimate is the difference
+    of its n-node and 3n/4-node values.
+    """
+    x, wt = _embedded_rule(n)
+    m = x.size
+    z = bufs[0]
+    span = np.log(b / a)
+    np.multiply(a, x, out=z[:, :m])
+    np.multiply(span, x, out=z[:, m:])
+    np.exp(z[:, m:], out=z[:, m:])
+    z[:, m:] *= a
+    g = f(z, *bufs[1:])
+    g[:, m:] *= z[:, m:]  # dz = z dt on the outer panel
+    g *= wt
+    sums = np.add.reduceat(g, [0, n, m, m + n], axis=1)
+    inner = sums[:, :2] * a
+    outer = sums[:, 2:] * span
+    val = inner[:, 0] + outer[:, 0]
+    err = np.abs(inner[:, 0] - inner[:, 1]) + np.abs(outer[:, 0] - outer[:, 1])
+    return val, err / val
 
 
-def _crossing_rows(profile: SurfaceProfile, uc: np.ndarray, nodes: int) -> np.ndarray:
+# The integrands below are evaluated in place on preallocated buffers, one
+# ufunc at a time in the order of the formula in their comment, so a block
+# allocates nothing its own size.  Fresh temporaries cost more than the
+# arithmetic: the allocator hands freed blocks back to the OS and faults
+# them in again, and the extra calls make the pool threads trade the GIL.
+
+
+def _bouncing_rows(profile: SurfaceProfile, u: np.ndarray):
+    """(f, a, b) for bouncing rows: the integrand in w, s = y + w^2, split at
+    sqrt(y) on [0, sqrt(eps0 - y)]; u is a column of gaps."""
     r, eps0 = profile.r, profile.eps0
-    x, wt = _gl_rule(nodes // 2)
-    s1 = np.minimum(uc[:, None] ** (1.0 / r), 0.5 * eps0)
-    acc = np.zeros(uc.shape)
-    for lo, hi in ((0.0, s1), (s1, eps0)):
-        half = 0.5 * (hi - lo)
-        s = lo + half * (x + 1.0)
-        sr = s**r
-        xi = 1.0 + sr
-        xp = r * sr / s
-        ximc = sr + uc[:, None]
-        xipc = 2.0 - uc[:, None] + sr
-        f = xi * np.sqrt(1.0 + xp * xp) / np.sqrt(ximc * xipc)
-        acc += (f * wt).sum(axis=1) * half[:, 0]
-    return acc
+    y = u ** (1.0 / r)
+    q = y**r  # equals u to rounding; keeps xi-c internally consistent
+    two_plus_u = 2.0 + u
+
+    def f(w, t0, t1, t2, t3):
+        # xi sqrt(1 + xp^2) 2w / sqrt((xi-c)(xi+c)) with s = y + w^2,
+        # sr = s^r, xi = 1 + sr, xp = r sr / s, xi+c = 2 + u + sr and
+        # xi-c = q expm1(r log1p(w^2 / y))
+        np.multiply(w, w, out=t0)
+        s = np.add(y, t0, out=t1)
+        sr = np.power(s, r, out=t2)
+        g = np.multiply(r, sr, out=t3)
+        g /= s
+        g *= g
+        g += 1.0
+        np.sqrt(g, out=g)
+        ximc = np.divide(t0, y, out=t0)
+        np.log1p(ximc, out=ximc)
+        np.multiply(r, ximc, out=ximc)
+        np.expm1(ximc, out=ximc)
+        ximc *= q
+        xipc = np.add(two_plus_u, sr, out=t1)
+        ximc *= xipc
+        root = np.sqrt(ximc, out=ximc)
+        val = np.add(1.0, sr, out=t2)
+        val *= g
+        val *= 2.0
+        val *= w
+        val /= root
+        return val
+
+    top = np.sqrt(eps0 - y)
+    return f, np.minimum(np.sqrt(y), 0.5 * top), top
+
+
+def _crossing_rows(profile: SurfaceProfile, u: np.ndarray):
+    """(f, a, b) for crossing rows: the integrand in s, split at the peak
+    width u^(1/r) on [0, eps0]; u is a column of gaps."""
+    r, eps0 = profile.r, profile.eps0
+    two_minus_u = 2.0 - u
+
+    def f(s, t0, t1, t2, t3):
+        # xi sqrt(1 + xp^2) / sqrt((xi-c)(xi+c)) with sr = s^r,
+        # xi = 1 + sr, xp = r sr / s, xi-c = sr + u, xi+c = 2 - u + sr
+        sr = np.power(s, r, out=t0)
+        g = np.multiply(r, sr, out=t1)
+        g /= s
+        g *= g
+        g += 1.0
+        np.sqrt(g, out=g)
+        ximc = np.add(sr, u, out=t2)
+        xipc = np.add(two_minus_u, sr, out=t3)
+        ximc *= xipc
+        root = np.sqrt(ximc, out=ximc)
+        val = np.add(1.0, sr, out=t0)
+        val *= g
+        val /= root
+        return val
+
+    return f, np.minimum(u ** (1.0 / r), 0.5 * eps0), eps0
 
 
 def default_thresholds(

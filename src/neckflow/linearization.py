@@ -42,6 +42,8 @@ _ATOL = 1e-13
 _BLOWUP = 1e8
 # the relaxed host must land back on the input vector to this (s and psi)
 _CLOSURE_TOL = 1e-9
+# scipy clamps a smaller rtol to this, with a UserWarning
+_RTOL_FLOOR = 100.0 * np.finfo(float).eps
 
 
 def _host_curvature(profile: SurfaceProfile, path: GeodesicPath):
@@ -198,7 +200,7 @@ def _relax(profile, state, relax_time, seeds, rtol, atol):
         reverse(state).as_array(),
         method="DOP853",
         events=_make_events(profile)[:2],
-        rtol=rtol / 100.0,
+        rtol=max(rtol / 100.0, _RTOL_FLOOR),
         atol=atol / 100.0,
     )
     _check_stall(back)
@@ -242,8 +244,9 @@ def unstable_riccati(
 
     Two DOP853 runs, no dense output.  The backward leg flows the reversed
     vector (whose orbit is the backward orbit of v) to the neck boundary or
-    to relax_time, whichever comes first, at rtol/100 and atol/100: the
-    forward leg amplifies its endpoint error along the unstable direction.
+    to relax_time, whichever comes first, at rtol/100 (but no lower than
+    scipy's floor of 100 eps) and atol/100: the forward leg amplifies its
+    endpoint error along the unstable direction.
     The forward leg reverses that endpoint and integrates the state
     (s, psi, u_seed0, u_seed1) over the window at rtol and atol, so each
     seed reads K at the footpoint flowed alongside it.  The seeds' mean at

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import bands
-from .bands import HomogeneityBand, band_of
+from .bands import HomogeneityBand, band_of_gap
 from .errors import AccuracyError, AsymptoticEntryError, BandTooDeepError
 from .surface import SurfaceProfile, TrajectoryClass
 
@@ -262,13 +262,14 @@ def zeta_derivs(
     """First (and where reliable, second) derivative of zeta at psi.
 
     psi must lie strictly inside a homogeneity band; pass the band if the
-    caller already knows it, otherwise it is recovered from the angle.
+    caller already knows it, otherwise it is recovered from the angle's
+    exact gap u, not from the rounded c.
     Crossing bands use closed-form singular quadrature; bouncing bands use
     central differences with step = step_fraction * band width.
     """
     ent = entry_data(profile, psi)
     if band is None:
-        band = band_of(ent.c, n0=1)
+        band = band_of_gap(ent.u, ent.klass.value, n0=1)
     if band is None:
         raise ValueError(
             "entry angle sits on a band boundary; derivatives need an "

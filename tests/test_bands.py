@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from neckflow.bands import (
     band_boundaries,
     band_midpoint,
     band_of,
+    band_of_gap,
     band_width,
     c_interval,
     width_asymptote,
@@ -22,6 +24,17 @@ def test_band_of_interior_points():
     assert band_of(1.0 - 1.0 / 10.5**2) == HomogeneityBand(10, CROSSING)
     assert band_of(-1.0 - 1.0 / 10.5**2) == HomogeneityBand(10, BOUNCING)
     assert band_of(1.0 + 1.0 / 200.5**2) == HomogeneityBand(200, BOUNCING)
+
+
+@pytest.mark.parametrize("n", [10**5, 10**6, 10**7])
+@pytest.mark.parametrize("side", [BOUNCING, CROSSING])
+def test_band_of_gap_deep_interior(n, side):
+    # 19 interior gaps per band; in c = 1 +- u they would keep only
+    # 16 - 2 log10(n) digits, too few from n ~ 1e5 on
+    for k in range(1, 20):
+        u = 1.0 / (n + k / 20.0) ** 2
+        assert n**2 * Fraction(u) < 1 < (n + 1) ** 2 * Fraction(u)
+        assert band_of_gap(u, side) == HomogeneityBand(n, side)
 
 
 def test_band_of_boundary_and_shallow():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neckflow import experiments
 from neckflow.bands import band_midpoint
@@ -9,7 +11,7 @@ from neckflow.errors import AccuracyError
 from neckflow.experiments import (
     ExperimentConfig,
     _BLOCK_ROWS,
-    _gl_rule,
+    _embedded_rule,
     _tail_chunk,
     chunk_rng,
     default_thresholds,
@@ -20,6 +22,7 @@ from neckflow.experiments import (
     tail_estimate,
     upsilon0_batch,
 )
+from neckflow.surface import SurfaceProfile
 from neckflow.transition import entry_data, upsilon0
 
 
@@ -78,10 +81,74 @@ def test_upsilon0_batch_blocks_match_rows(prof_narrow):
     assert upsilon0_batch(prof_narrow, np.array([])).shape == (0,)
 
 
-def test_gl_rule_is_cached_read_only():
-    x, wt = _gl_rule(320)
-    assert _gl_rule(320)[0] is x
+def test_embedded_rule_is_cached_read_only():
+    x, wt = _embedded_rule(32)
+    assert _embedded_rule(32)[0] is x
     assert not x.flags.writeable and not wt.flags.writeable
+    # 32 answer nodes then 24 estimate nodes on [0, 1]; the weights of both
+    # rules, once per panel, each rule summing to the interval length
+    assert x.size == 56 and wt.size == 112
+    assert 0.0 < x.min() and x.max() < 1.0
+    for lo, hi in ((0, 32), (32, 56), (56, 88), (88, 112)):
+        assert wt[lo:hi].sum() == pytest.approx(1.0, rel=1e-14)
+
+
+_PROFILES = {
+    (r, eps0): SurfaceProfile(r=r, eps0=eps0, allow_low_r=True)
+    for r in (3.0, 4.0, 6.0)
+    for eps0 in (0.5, 1.0)
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    key=st.sampled_from(sorted(_PROFILES)),
+    log_depth=st.floats(-15.0, -3.0),
+    side=st.sampled_from((-1.0, 1.0)),
+)
+def test_upsilon0_batch_matches_adaptive_near_asymptote(key, log_depth, side):
+    # the fragile regime: entries within 1e-15..1e-3 of psi0 on either side,
+    # where a single uniform panel loses digits and r < 4 is hardest
+    prof = _PROFILES[key]
+    psi = prof.asymptotic_angle() + side * 10.0**log_depth
+    batch = upsilon0_batch(prof, np.array([psi]))[0]
+    assert batch == pytest.approx(upsilon0(prof, psi), rel=1e-10)
+
+
+def test_upsilon0_batch_raises_above_ceiling(prof4, monkeypatch):
+    monkeypatch.setattr(experiments, "_ERR_CEILING", 0.0)
+    lo, hi = entry_window(prof4)
+    with pytest.raises(AccuracyError) as info:
+        upsilon0_batch(prof4, np.linspace(lo, hi, 7))
+    assert info.value.achieved > 0.0
+
+
+def test_upsilon0_batch_refines_rows_above_ceiling(monkeypatch):
+    # at r=10, eps0=1.5 about 1% of crossing rows miss 1e-9 at 32/24 nodes
+    # per panel; only they are redone, at 64/48 nodes
+    prof = SurfaceProfile(r=10.0, eps0=1.5)
+    lo, hi = entry_window(prof)
+    psi = np.random.default_rng(11).uniform(lo, hi, 600)
+    levels = {}
+    blocked = experiments._blocked
+
+    def spy(integrand, profile, u, n):
+        vals, rel = blocked(integrand, profile, u, n)
+        levels.setdefault(n, []).append((u, rel.copy()))
+        return vals, rel
+
+    monkeypatch.setattr(experiments, "_blocked", spy)
+    batch = upsilon0_batch(prof, psi)
+    first = np.concatenate([rel for _, rel in levels[32]])
+    refined_u = np.concatenate([u for u, _ in levels[64]])
+    assert 0 < refined_u.size == int((first > 1e-9).sum()) < 60
+    assert max(rel.max() for _, rel in levels[64]) <= 1e-9
+    refined = np.flatnonzero(np.isin(entry_scales(prof, psi)[0], refined_u))
+    assert refined.size == refined_u.size
+    for k in refined:
+        assert batch[k] == pytest.approx(upsilon0(prof, float(psi[k])), rel=1e-9)
+        # refinement is per row: alone, the row gets the same bits
+        assert upsilon0_batch(prof, psi[k : k + 1])[0] == batch[k]
 
 
 def test_upsilon0_batch_asymptotic_is_inf(prof_narrow):
@@ -131,8 +198,9 @@ def test_tail_estimate_serial_parallel_identical():
 
 
 def test_tail_estimate_pinned_counts():
-    # exact survivor counts of the 320-node kernel; a change that moves the
-    # kernel's bits (node count, evaluation order) must update them on purpose
+    # exact survivor counts, recorded with the 320-node uniform-panel kernel
+    # and unchanged by the graded 64-node one; a change to the kernel that
+    # moves a sample across a threshold must update them on purpose
     r4 = tail_estimate(ExperimentConfig(r=4.0, samples=60_000, seed=5))
     assert r4.counts.tolist() == [1446, 963, 644, 422, 257, 150, 93, 52, 35]
     r6 = tail_estimate(ExperimentConfig(r=6.0, samples=60_000, seed=5))

@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -201,6 +202,28 @@ def test_unstable_riccati_closure_check_raises(prof4, monkeypatch):
     with pytest.raises(AccuracyError) as info:
         unstable_riccati(prof4, GeodesicState(0.2, 0.0, 0.3))
     assert info.value.achieved > 0.0
+
+
+def test_unstable_riccati_closure_covers_psi(prof4, monkeypatch):
+    # shift only the forward leg's final psi: s closes, psi misses by 1e-6
+    def shifted(fun, t_span, y0, **kw):
+        sol = solve_ivp(fun, t_span, y0, **kw)
+        if len(y0) == 4:  # (s, psi, u_seed0, u_seed1): the forward leg
+            sol.y[1, -1] += 1e-6
+        return sol
+
+    monkeypatch.setattr(linearization, "solve_ivp", shifted)
+    with pytest.raises(AccuracyError) as info:
+        unstable_riccati(prof4, GeodesicState(0.2, 0.0, 0.3))
+    assert info.value.achieved == pytest.approx(1e-6, rel=1e-3)
+
+
+def test_unstable_riccati_tight_rtol_stays_above_scipy_floor(prof4):
+    # rtol / 100 for the backward leg would fall below DOP853's 100 eps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = unstable_riccati(prof4, GeodesicState(0.2, 0.0, 0.3), rtol=1e-13)
+    assert est.value > 0.0
 
 
 def test_unstable_riccati_tightens_once_on_a_closure_miss(monkeypatch):

@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import _oracles as orc
-from neckflow.bands import HomogeneityBand, band_midpoint, band_width
+from neckflow import transition
+from neckflow.bands import HomogeneityBand, band_boundaries, band_midpoint, band_width
 from neckflow.dynamics import GeodesicState, neck_transit
 from neckflow.errors import AsymptoticEntryError, BandTooDeepError
 from neckflow.surface import TrajectoryClass
@@ -127,26 +129,51 @@ def test_zeta_derivs_rejects_band_boundary(prof4):
     """An angle whose gap is exactly 1/n^2 belongs to no band.
 
     Such doubles exist but must be hunted for: step psi by ulps near the
-    nominal boundary until the recomputed gap hits 1/16 dead on.
+    nominal boundary until the entry's exact gap u gives 1/sqrt(u) = 4
+    dead on, which is the lookup zeta_derivs makes.
     """
-    from neckflow.bands import band_of
+    from neckflow.bands import band_of_gap
 
-    # aim at gap 1/16: it is dyadic, so whenever c rounds to exactly
-    # 1.0625 the recovered gap, its sqrt, and the reciprocal are all exact
-    # and band_of reports the boundary.  c's rounding window is wider than
-    # one psi-ulp step, so a short scan is guaranteed to land in it.
+    # aim at gap 1/16: it is dyadic, so a gap within an ulp or two of it
+    # has sqrt and reciprocal that round to exactly 0.25 and 4.  In this
+    # scan one psi-ulp step lands in that window.
     psi = math.acos(1.0625 / 2.0)
     for _ in range(200):
         psi = math.nextafter(psi, 0.0)
     hit = None
     for _ in range(400):
         psi = math.nextafter(psi, math.pi)
-        if band_of(entry_data(prof4, psi).c, n0=1) is None:
+        ent = entry_data(prof4, psi)
+        if band_of_gap(ent.u, ent.klass.value, n0=1) is None:
             hit = psi
             break
     assert hit is not None, "scan failed to land on the boundary rounding window"
     with pytest.raises(ValueError, match="band boundary"):
         zeta_derivs(prof4, hit)
+
+
+def test_zeta_derivs_looks_band_up_from_exact_gap(prof4, monkeypatch):
+    """Band 1e5 on the bouncing side: c = 1 + u keeps only ~6 digits of u,
+    enough to put interior angles in the neighbouring band; the exact gap
+    of entry_data never does."""
+    seen = []
+
+    def record(profile, ent, band, step_fraction):
+        seen.append((ent, band))
+
+    monkeypatch.setattr(transition, "_bouncing_derivs", record)
+    n = 10**5
+    _, (psi_lo, psi_hi) = band_boundaries(prof4, n, "bouncing", n0=n)
+    psi = psi_lo
+    while psi < psi_hi:
+        zeta_derivs(prof4, psi)
+        psi = math.nextafter(psi, math.pi)
+    assert len(seen) >= 5
+    for ent, band in seen:
+        # band n holds 1/(n+1)^2 < u < 1/n^2, checked in exact rationals
+        u = Fraction(ent.u)
+        assert band.side == "bouncing"
+        assert band.n**2 * u < 1 < (band.n + 1) ** 2 * u
 
 
 def test_bouncing_band_too_deep(prof4):
