@@ -14,7 +14,6 @@ from .dynamics import GeodesicState, integrate, neck_transit
 from .errors import (
     AccuracyError,
     AsymptoticEntryError,
-    BandTooDeepError,
     IntegrationStallError,
     NeckDomainError,
     NoTurningPointError,
@@ -25,7 +24,6 @@ from .transition import apply_f0, df0, growth_factor, upsilon0, zeta
 __all__ = [
     "AccuracyError",
     "AsymptoticEntryError",
-    "BandTooDeepError",
     "GeodesicState",
     "HomogeneityBand",
     "IntegrationStallError",

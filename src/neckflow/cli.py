@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__, acceptance, bands, linearization, transition
 from .asymptotics import empirical_ratio, limit_constant, model_triples
 from .dynamics import GeodesicState, integrate, neck_transit
-from .errors import AccuracyError, BandTooDeepError, IntegrationStallError
+from .errors import AccuracyError, IntegrationStallError
 from .experiments import (
     ExperimentConfig,
     distortion_suite,
@@ -382,7 +382,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve(args)
         return args.func(args, cfg)
-    except (AccuracyError, IntegrationStallError, BandTooDeepError) as exc:
+    except (AccuracyError, IntegrationStallError) as exc:
         print(f"neckflow: accuracy failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -13,10 +13,6 @@ class AsymptoticEntryError(ValueError):
     """An excursion quantity was requested for an exactly asymptotic vector."""
 
 
-class BandTooDeepError(ValueError):
-    """Finite differencing underflows this close to the asymptotic angle."""
-
-
 class AccuracyError(RuntimeError):
     """A requested numerical accuracy could not be certified.
 

@@ -475,7 +475,6 @@ def _slope_tag(slope: float) -> str:
 
 
 _DISTORTION_OFFSETS = (0.15, 0.3, 0.45, 0.6, 0.75, 0.85)
-_FD_FRACTION = 1.0 / 40.0  # keeps the pair-separation rule satisfiable
 
 
 def distortion_suite(
@@ -485,11 +484,10 @@ def distortion_suite(
 ) -> SuiteResult:
     """Bounded-distortion statistic M_n per band, with its trend fit.
 
-    M_n is the largest Hoelder-1/3 quotient of log(1 + |zeta'|) over pairs
-    of in-band angles at the configured width offsets.  Pairs closer than
-    ten finite-difference steps are excluded so FD noise cannot masquerade
-    as distortion (the crossing side is closed-form; the rule is applied
-    uniformly anyway).  The trend slope of log M_n vs log n should vanish:
+    M_n is the largest Hoelder-1/3 quotient of log(1 + |zeta'|) over all
+    pairs of in-band angles at the configured width offsets.  zeta' is the
+    exact derivative integral on both sides, certified to 1e-9 relative, so
+    every pair counts.  The trend slope of log M_n vs log n should vanish:
     bands are exactly the scale on which log-derivative variation is O(1).
     """
     profile = config.profile()
@@ -500,24 +498,18 @@ def distortion_suite(
     for n in ns:
         band_max = 0.0
         for side in bands.SIDES:
-            band = bands.HomogeneityBand(int(n), side)
             _, (psi_lo, psi_hi) = bands.band_boundaries(
                 profile, int(n), side, n0=config.n0
             )
             width = psi_hi - psi_lo
-            step = _FD_FRACTION * width
             pts = []
             for frac in offsets:
                 psi = psi_lo + frac * width
-                d = transition.zeta_derivs(
-                    profile, psi, band=band, step_fraction=_FD_FRACTION
-                )
+                d = transition.zeta_derivs(profile, psi)
                 pts.append((psi, math.log1p(abs(d.zeta_prime))))
             for i in range(len(pts)):
                 for j in range(i + 1, len(pts)):
                     dpsi = abs(pts[j][0] - pts[i][0])
-                    if dpsi < 10.0 * step:
-                        continue
                     quot = abs(pts[j][1] - pts[i][1]) / dpsi**holder
                     band_max = max(band_max, quot)
         rows.append({"n": int(n), "m_n": band_max})

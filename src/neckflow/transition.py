@@ -26,6 +26,10 @@ Cancellation note: everything difficult lives in xi(s)^2 - c^2 with both
 quantities near 1.  It is always evaluated factored as (xi-c)(xi+c), with
 xi-c = s^r + (1-c) for crossing and xi-c = y^r * expm1(r*log1p(w^2/y)) for
 bouncing, both exact to a few ulp however deep the band.
+
+zeta' and zeta'' are exact integrals on both sides, differentiated under the
+integral sign (for bouncing entries by Leibniz's rule, as the turning point
+moves the upper limit); each carries its quadrature error estimate.
 """
 
 from __future__ import annotations
@@ -37,8 +41,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import bands
-from .bands import HomogeneityBand, band_of_gap
-from .errors import AccuracyError, AsymptoticEntryError, BandTooDeepError
+from .errors import AccuracyError, AsymptoticEntryError
 from .surface import SurfaceProfile, TrajectoryClass
 
 #: quadrature request; the certified post-condition is 1e-9 relative
@@ -80,11 +83,20 @@ def entry_data(profile: SurfaceProfile, psi: float) -> EntryData:
 
 
 def _bouncing_integrand(profile: SurfaceProfile, ent: EntryData, which: str):
-    """Integrand in the regularized variable w, s = y + w^2."""
+    """Integrand in the regularized variable w, s = y + w^2.
+
+    which is "zeta", "upsilon0", or, with F the zeta integrand and
+    L = d log F/du at fixed w (u = c-1), "dzeta" = F L or
+    "d2zeta" = F (L^2 + dL/du).  The u-derivatives are cancellation-free:
+    d(xi-c)/du = expm1((r-1) log1p(w^2/y)) and d(xi+c)/du is that plus 2.
+    """
     r = profile.r
-    y = ent.u ** (1.0 / r)
+    u, c = ent.u, ent.c
+    y = u ** (1.0 / r)
     q = y**r  # equals u to rounding; keeps xi-c internally consistent
-    c = ent.c
+    y1 = y / (r * u)  # dy/du
+    y2 = y1 * (1.0 / r - 1.0) / u
+    r1, ic = r - 1.0, 1.0 / c
 
     def f(w):
         s = y + w * w
@@ -92,12 +104,28 @@ def _bouncing_integrand(profile: SurfaceProfile, ent: EntryData, which: str):
         xi = 1.0 + sr
         xp = r * sr / s
         ximc = q * math.expm1(r * math.log1p(w * w / y))
-        xipc = 2.0 + ent.u + sr
+        xipc = 2.0 + u + sr
         root = math.sqrt(ximc * xipc)
         g = math.sqrt(1.0 + xp * xp)
+        if which == "upsilon0":
+            return xi * g * 2.0 * w / root
+        fz = 2.0 * c * g * 2.0 * w / (xi * root)
         if which == "zeta":
-            return 2.0 * c * g * 2.0 * w / (xi * root)
-        return xi * g * 2.0 * w / root
+            return fz
+        x = w * w / y
+        xpp = r1 * xp / s
+        dm = math.expm1(r1 * math.log1p(x))  # d(xi-c)/du
+        pm, pp = dm / ximc, (dm + 2.0) / xipc  # d/du log(xi-c), log(xi+c)
+        a1, b1 = xp * xpp / (g * g), xp / xi
+        h = a1 - b1  # d/ds log(g/xi)
+        lf = ic + y1 * h - 0.5 * (pm + pp)
+        if which == "dzeta":
+            return fz * lf
+        d = -r1 * y1 / y * (1.0 + dm) * x / (1.0 + x)  # d(dm)/du
+        hs = (xpp * xpp + (r - 2.0) * xp * xpp / s) / (g * g) - 2.0 * a1 * a1
+        hs += b1 * b1 - xpp / xi  # dh/ds
+        lfu = y2 * h + y1 * y1 * hs - ic * ic - 0.5 * (d / ximc + d / xipc - pm * pm - pp * pp)
+        return fz * (lf * lf + lfu)
 
     return f, y
 
@@ -120,28 +148,31 @@ def _crossing_integrand(profile: SurfaceProfile, ent: EntryData, which: str):
     return f
 
 
-def _excursion_value(
-    profile: SurfaceProfile, psi: float, which: str, epsrel: float = _EPSREL
-) -> tuple[float, float]:
+def _certified(what: str, val: float, err: float) -> tuple[float, float]:
+    """(val, err) if err is within the 1e-9 relative ceiling, else raise."""
+    if not err <= _ERR_CEILING * abs(val):
+        raise AccuracyError(
+            f"{what} quadrature achieved {err:.3e} (relative "
+            f"{err / abs(val):.3e}), above the 1e-9 ceiling",
+            achieved=err / abs(val),
+        )
+    return val, err
+
+
+def _excursion_value(profile: SurfaceProfile, psi: float, which: str) -> tuple[float, float]:
     """(value, abs error estimate) of zeta or upsilon0 at one entry angle."""
     ent = entry_data(profile, psi)
     if ent.klass is TrajectoryClass.BOUNCING:
         f, y = _bouncing_integrand(profile, ent, which)
         hi = math.sqrt(profile.eps0 - y)
-        val, err = quad(f, 0.0, hi, epsabs=0.0, epsrel=epsrel, limit=200)
+        val, err = quad(f, 0.0, hi, epsabs=0.0, epsrel=_EPSREL, limit=200)
     else:
         f = _crossing_integrand(profile, ent, which)
         peak = min(ent.u ** (1.0 / profile.r), 0.5 * profile.eps0)
         val, err = quad(
-            f, 0.0, profile.eps0, points=[peak], epsabs=0.0, epsrel=epsrel, limit=200
+            f, 0.0, profile.eps0, points=[peak], epsabs=0.0, epsrel=_EPSREL, limit=200
         )
-    if not err <= _ERR_CEILING * abs(val):
-        raise AccuracyError(
-            f"{which} quadrature achieved {err:.3e} (relative "
-            f"{err / abs(val):.3e}), above the 1e-9 ceiling",
-            achieved=err / abs(val),
-        )
-    return val, err
+    return _certified(which, val, err)
 
 
 def zeta(profile: SurfaceProfile, psi: float) -> float:
@@ -162,7 +193,7 @@ def upsilon0(profile: SurfaceProfile, psi: float) -> float:
 class TransitionDerivs:
     zeta_prime: float
     zeta_prime_err: float
-    zeta_second: float | None
+    zeta_second: float
     zeta_second_err: float
 
 
@@ -211,73 +242,53 @@ def _crossing_derivs(profile: SurfaceProfile, ent: EntryData) -> TransitionDeriv
     )
 
 
-def _bouncing_derivs(
-    profile: SurfaceProfile, ent: EntryData, band: HomogeneityBand, step_fraction: float
-) -> TransitionDerivs:
-    """Richardson-extrapolated central differences for a bouncing entry.
+def _bouncing_derivs(profile: SurfaceProfile, ent: EntryData) -> TransitionDerivs:
+    """Leibniz-rule derivative integrals for a bouncing entry.
 
-    The turning radius makes the parameter derivative of the endpoint
-    contribute, so there is no closed form here; instead zeta is sampled at
-    psi +- h and psi +- h/2 with h a fixed fraction of the band width.  The
-    second derivative reuses the same five-point stencil and is dropped
-    (None) when its noise estimate swamps the value, which happens in deep
-    bands where h^2 amplifies quadrature error.
+    zeta(u) = int_0^W F dw has the moving limit W = sqrt(eps0 - y), so with
+    B = F(W) dW/du, dzeta/du = int F L dw + B and d2zeta/du2 =
+    int F (L^2 + dL/du) dw + (F L)(W) dW/du + dB/du, the integrands being
+    those of _bouncing_integrand.  B and dB/du are closed form, since
+    s = eps0 at w = W; du/dpsi = -a sin(psi) turns these into zeta', zeta''.
     """
-    psi = ent.psi
-    h = step_fraction * bands.band_width(profile, band.n, band.side, n0=band.n)
-    # keep the stencil inside (0, psi0): zeta is smooth across band labels
-    # but singular at the asymptotic angle itself
-    h = min(h, 0.45 * psi, 0.45 * (profile.asymptotic_angle() - psi))
-    if psi + h == psi or h < 8.0 * math.ulp(psi):
-        raise BandTooDeepError(
-            f"band n={band.n}: differentiation step {h:.3e} underflows at psi={psi}"
-        )
-    vals = {}
-    errs = {}
-    for k in (-2, -1, 0, 1, 2):
-        vals[k], errs[k] = _excursion_value(profile, psi + 0.5 * k * h, "zeta")
-    qnoise = max(errs.values())
-
-    d_h = (vals[2] - vals[-2]) / (2.0 * h)
-    d_h2 = (vals[1] - vals[-1]) / h
-    zp = (4.0 * d_h2 - d_h) / 3.0
-    zp_err = abs(zp - d_h2) / 3.0 + 2.0 * qnoise / h
-
-    s_h = (vals[2] - 2.0 * vals[0] + vals[-2]) / (h * h)
-    s_h2 = (vals[1] - 2.0 * vals[0] + vals[-1]) / (0.25 * h * h)
-    zs = (4.0 * s_h2 - s_h) / 3.0
-    zs_err = abs(zs - s_h2) / 3.0 + 16.0 * qnoise / (h * h)
-    second = zs if zs_err <= 0.5 * abs(zs) else None
+    r, a, u, c, psi = profile.r, profile.boundary_radius, ent.u, ent.c, ent.psi
+    f1, y = _bouncing_integrand(profile, ent, "dzeta")
+    f2, _ = _bouncing_integrand(profile, ent, "d2zeta")
+    hi = math.sqrt(profile.eps0 - y)
+    # split where the integrands turn over, as _crossing_derivs does
+    kw = dict(points=[min(math.sqrt(y), 0.5 * hi)], epsabs=0.0, epsrel=_EPSREL, limit=200)
+    i1, e1 = quad(f1, 0.0, hi, **kw)
+    i2, e2 = quad(f2, 0.0, hi, **kw)
+    y1 = y / (r * u)  # dy/du and d2y/du2, as in _bouncing_integrand
+    y2 = y1 * (1.0 / r - 1.0) / u
+    root = math.sqrt((a - c) * (a + c))  # sqrt(xi^2 - c^2) at s = eps0
+    g0 = math.sqrt(1.0 + (r * profile.eps0 ** (r - 1.0)) ** 2)
+    b = -2.0 * c * g0 * y1 / (a * root)
+    db = -2.0 * g0 / a * (y1 / root + c * y2 / root + c * c * y1 / root**3)
+    z1 = i1 + b
+    z2 = i2 - f1(hi) * y1 / (2.0 * hi) + db
+    k = a * math.sin(psi)  # -du/dpsi
     return TransitionDerivs(
-        zeta_prime=zp, zeta_prime_err=zp_err, zeta_second=second, zeta_second_err=zs_err
+        zeta_prime=-k * z1,
+        zeta_prime_err=k * e1,
+        zeta_second=k * k * z2 - a * math.cos(psi) * z1,
+        zeta_second_err=k * k * e2 + a * math.cos(psi) * e1,
     )
 
 
-def zeta_derivs(
-    profile: SurfaceProfile,
-    psi: float,
-    band: HomogeneityBand | None = None,
-    step_fraction: float = 0.1,
-) -> TransitionDerivs:
-    """First (and where reliable, second) derivative of zeta at psi.
+def zeta_derivs(profile: SurfaceProfile, psi: float) -> TransitionDerivs:
+    """zeta' and zeta'' at any non-asymptotic psi, from exact integrals.
 
-    psi must lie strictly inside a homogeneity band; pass the band if the
-    caller already knows it, otherwise it is recovered from the angle's
-    exact gap u, not from the rounded c.
-    Crossing bands use closed-form singular quadrature; bouncing bands use
-    central differences with step = step_fraction * band width.
+    Raises AccuracyError if either error estimate exceeds 1e-9 relative.
     """
     ent = entry_data(profile, psi)
-    if band is None:
-        band = band_of_gap(ent.u, ent.klass.value, n0=1)
-    if band is None:
-        raise ValueError(
-            "entry angle sits on a band boundary; derivatives need an "
-            "angle strictly inside a band"
-        )
     if ent.klass is TrajectoryClass.CROSSING:
-        return _crossing_derivs(profile, ent)
-    return _bouncing_derivs(profile, ent, band, step_fraction)
+        d = _crossing_derivs(profile, ent)
+    else:
+        d = _bouncing_derivs(profile, ent)
+    _certified("zeta'", d.zeta_prime, d.zeta_prime_err)
+    _certified("zeta''", d.zeta_second, d.zeta_second_err)
+    return d
 
 
 @dataclass(frozen=True)

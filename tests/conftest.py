@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from neckflow.surface import SurfaceProfile
+
+# every property test draws the same examples on every run and host, and
+# the slow oracles some of them call are not held to a per-example deadline
+settings.register_profile("neckflow", derandomize=True, deadline=None)
+settings.load_profile("neckflow")
 
 
 @pytest.fixture(scope="session")

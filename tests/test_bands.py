@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neckflow import bands
 from neckflow.bands import (
@@ -127,3 +129,38 @@ def test_homogeneity_band_validation():
         HomogeneityBand(10, "sideways")
     with pytest.raises(ValueError):
         HomogeneityBand(0, BOUNCING)
+
+
+def _exact_band(c):
+    """Band index of c from exact rational arithmetic; None on a boundary."""
+    u = abs(abs(Fraction(c)) - 1)
+    q = u.denominator // u.numerator  # floor(1/u); 1/u is an integer iff exact
+    m = math.isqrt(q)
+    if u.denominator % u.numerator == 0 and m * m == q:
+        return None
+    return m
+
+
+@settings(max_examples=60)
+@given(
+    k=st.integers(4, 23),
+    side=st.sampled_from(bands.SIDES),
+    ulps=st.integers(-4, 4),
+)
+def test_band_of_roundtrips_exact_boundary(k, side, ulps):
+    # for n = 2^k the band edge ||c|-1| = 1/n^2 is dyadic, so c_interval
+    # returns it exactly: bands up to n ~ 8.4e6 have representable edges
+    n = 2**k
+    lo, hi = c_interval(n, side)
+    edge = hi if side == BOUNCING else lo  # the shallow edge, gap 1/n^2
+    assert abs(Fraction(edge) - 1) == Fraction(1, n * n)
+    assert c_interval(n - 1, side)[0 if side == BOUNCING else 1] == edge
+    assert band_of(edge) is None
+    # a few ulps either way: deeper bands (toward c = 1) for ulps < 0
+    c = edge
+    for _ in range(abs(ulps)):
+        c = math.nextafter(c, 1.0 if ulps < 0 else 1.0 + 2.0 * (edge - 1.0))
+    band = band_of(c)
+    assert (None if band is None else band.n) == _exact_band(c)
+    if ulps:
+        assert band.side == side and (band.n >= n) == (ulps < 0)

@@ -100,7 +100,7 @@ _PROFILES = {
 }
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(
     key=st.sampled_from(sorted(_PROFILES)),
     log_depth=st.floats(-15.0, -3.0),
