@@ -48,13 +48,15 @@ def band_of_gap(u: float, side: str, n0: int = DEFAULT_N0) -> HomogeneityBand | 
     """Band of side containing the gap u = ||c|-1|, or None.
 
     None is returned for u = 0 (asymptotic), for boundary values where
-    1/sqrt(u) is an exact integer, and for bands shallower than n0.
+    1/sqrt(u) is an exact integer, and for bands shallower than n0.  The
+    band is settled in integers from the exact ratio u = p/q, so it is
+    exact however close u lies to a boundary 1/n^2.
     """
-    if u == 0.0:
+    if u == 0.0 or math.isinf(u):
         return None
-    m = 1.0 / math.sqrt(u)
-    n = math.floor(m)
-    if m == n:
+    p, q = u.as_integer_ratio()
+    n = math.isqrt(q // p)  # floor(1/sqrt(u)) exactly: n^2 <= q/p < (n+1)^2
+    if n * n * p == q:
         return None  # exactly on a band boundary
     if n < n0:
         return None

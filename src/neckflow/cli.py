@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("n_min", "smallest band index"),
         ("n_max", "largest band index"),
         ("tol", "accuracy tolerance where applicable"),
-        ("threads", "worker pool of tails; never changes output bytes"),
+        ("threads", "accepted and ignored; tails runs on one thread"),
     ):
         default = _DEFAULTS[key]
         g.add_argument(
@@ -177,7 +177,7 @@ def _emit(args, cfg, rows=None, columns=None, tables=None, fits=None, fmt=None) 
         tables = dict(tables or {})
         if rows is not None:
             tables.setdefault("rows", rows)
-        # threads schedules the work and never changes it, so it is not echoed
+        # threads is accepted and ignored, so it is not echoed
         echo = {key: val for key, val in cfg.items() if key != "threads"}
         text = json_text(json_payload(echo, tables, fits or {}))
     if args.out:

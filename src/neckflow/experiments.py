@@ -3,28 +3,32 @@
 Randomness discipline: every Monte-Carlo quantity is a pure function of
 (seed, sample index).  Samples are produced in fixed-size chunks, chunk i
 drawn from an independent Philox stream keyed by (seed, i), and chunk
-results are merged in index order with integer accumulators.  A run is
-therefore byte-identical no matter how many workers execute it, which is
-what lets the determinism contract extend to parallel execution.
+results are merged in index order with integer accumulators, so a run is
+byte-identical however it is scheduled.
 
-The tail experiment needs the half transit time Upsilon0 for ~1e6 entry
-angles, far too many for adaptive quadrature, so a Gauss-Legendre engine
-evaluates the same regularized integrands as transition.upsilon0 in
-vectorized batches.  Each row gets two panels split at its own scale, the
-outer one graded in a log variable, so the accuracy holds uniformly up to
-the asymptotic angle.  An embedded lower-order rule gives every row an
-error estimate: a row above the adaptive path's 1e-9 relative ceiling is
-redone at twice the nodes, and one still above it raises AccuracyError,
-so the engine never returns a degraded number.  Rows run in fixed blocks
-on buffers allocated once per call, so the memory each worker thread
-needs does not grow with the chunk size.
+The tail experiment asks, for ~1e6 entry angles and a handful of
+thresholds T, how many have a residence time 2*Upsilon0 above T.  The
+residence time grows as the entry angle nears the asymptotic angle psi0 from
+either side, so each threshold's survivors are the samples within some
+distance of psi0 on each side.  Those distances are found once per run by
+bisecting a batched Gauss-Legendre engine that evaluates the same
+regularized integrands as transition.upsilon0; each root is widened into a
+bracket whose edges are certified against the engine's error estimate, and
+only the rare samples inside a bracket are integrated.
+
+The engine gives each row two panels split at its own scale, the outer one
+graded in a log variable, so the accuracy holds uniformly up to the
+asymptotic angle.  An embedded lower-order rule gives every row an error
+estimate: a row above the adaptive path's 1e-9 relative ceiling is redone
+at twice the nodes, and one still above it raises AccuracyError, so the
+engine never returns a degraded number.  Rows run in fixed blocks on
+buffers allocated once per call, so memory does not grow with the batch.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -39,12 +43,10 @@ from .transition import _ERR_CEILING
 _GL_NODES = 64  # first level: a 32-node answer rule on each of two panels
 # Rows per first-level block: each of the _BUFFERS arrays holds 176 x 112
 # floats (both panels, answer and estimate nodes), 154 KiB, allocated once
-# per call.  Larger blocks mean fewer numpy calls, and each call hands the
-# GIL to the other pool thread: on a 2-core x86_64 host a 65536-sample
-# tail_estimate on two threads cost 0.28-0.32 s of CPU at 128 rows and
-# 0.23-0.30 s at 176, against about 0.20 s on one thread.  The buffers are
-# separate arrays: as one 770 KiB array they raised glibc's trim threshold
-# to twice that, and the benchmark's peak RSS by 0.7 MB.
+# per call.  Larger blocks mean fewer numpy calls per row, smaller ones less
+# memory; the buffers are separate arrays because as one 770 KiB array they
+# raised glibc's trim threshold to twice that, and the benchmark's peak RSS
+# by 0.7 MB.
 _BLOCK_ROWS = 176
 _BUFFERS = 5  # the node array and four integrand scratch arrays
 
@@ -53,8 +55,9 @@ _BUFFERS = 5  # the node array and four integrand scratch arrays
 class ExperimentConfig:
     """Resolved inputs of one experiment run.
 
-    threads only schedules tail_estimate's chunks and never changes a
-    result, so equality and as_dict (the form echoed into outputs) omit it.
+    threads is accepted so that existing config files and calls keep
+    working, and is ignored: tail_estimate runs on one thread.  Equality
+    and as_dict (the form echoed into outputs) omit it.
     """
 
     r: float = 4.0
@@ -123,9 +126,16 @@ def upsilon0_batch(
     own and refined on its own estimate, so a row's value depends only on
     its entry angle, never on the blocking or on the rest of the batch.
     """
+    return _certified_rows(profile, psi, nodes)[0]
+
+
+def _certified_rows(profile: SurfaceProfile, psi, nodes: int = _GL_NODES):
+    """(upsilon0_batch values, their relative error estimates); an exactly
+    asymptotic row has the estimate 0."""
     psi = np.asarray(psi, dtype=float)
     u, bounce = entry_scales(profile, psi)
     out = np.full(psi.shape, np.inf)
+    est = np.zeros(psi.shape)
     finite = u > 0.0
     for rows, integrand in (
         (bounce & finite, _bouncing_rows),
@@ -144,7 +154,8 @@ def upsilon0_batch(
                     achieved=worst,
                 )
         out[rows] = vals
-    return out
+        est[rows] = rel
+    return out, est
 
 
 def _blocked(integrand, profile: SurfaceProfile, u: np.ndarray, n: int):
@@ -215,7 +226,7 @@ def _graded_panels(f, a: np.ndarray, b, n: int, bufs):
 # ufunc at a time in the order of the formula in their comment, so a block
 # allocates nothing its own size.  Fresh temporaries cost more than the
 # arithmetic: the allocator hands freed blocks back to the OS and faults
-# them in again, and the extra calls make the pool threads trade the GIL.
+# them in again.
 
 
 def _bouncing_rows(profile: SurfaceProfile, u: np.ndarray):
@@ -322,25 +333,128 @@ class TailEstimate:
         return self.counts / float(self.total)
 
 
+#: Relative half-width, in |psi - psi0|, of the bracket around each
+#: threshold's root; only samples inside a bracket run the kernel.
+_BRACKET_DELTA = 1e-6
+#: Closest approach to psi0 the root search probes, in radians.  Samples
+#: nearer than this always run the kernel, so the brackets rely on the
+#: residence time being monotone only from here outwards.
+_ROOT_FLOOR = 1e-14
+#: Halvings of a log|psi - psi0| bracket at most ~33 wide: they leave it
+#: below 3.1e-8, well inside _BRACKET_DELTA.
+_BISECT_STEPS = 30
+
+
+@dataclass(frozen=True)
+class _Brackets:
+    """Where each threshold's survivors lie, as entry angles.
+
+    Row 0 holds the bouncing edges (below psi0), row 1 the crossing ones.
+    A sample psi survives threshold k if inner[0, k] < psi < inner[1, k],
+    and does not if psi <= outer[0, k] or psi >= outer[1, k].  A sample in
+    between, or inside the open core around psi0, runs the kernel.
+    """
+
+    thresholds: np.ndarray  # (K,)
+    inner: np.ndarray  # (2, K)
+    outer: np.ndarray  # (2, K)
+    core: tuple[float, float]
+
+
+def _survivor_brackets(
+    profile: SurfaceProfile, window: tuple[float, float], thresholds: np.ndarray
+) -> _Brackets:
+    """Certified survivor brackets of every threshold, on both sides of psi0.
+
+    2*Upsilon0 grows as psi nears psi0 from either side (proved on the
+    crossing side, property-tested on the bouncing side down to
+    _ROOT_FLOOR), so the survivors of threshold T are the samples with
+    |psi - psi0| < d*(T, side).  All 2K roots are bisected together in
+    log|psi - psi0|, one upsilon0_batch call per step, and each is widened
+    into the edges d*(1 -+ _BRACKET_DELTA).  At every edge the kernel must
+    lie on its side of T by more than twice max(its error estimate, the
+    1e-9 ceiling), or AccuracyError is raised.
+
+    A side whose window edge already exceeds T survives whole.  A root
+    below _ROOT_FLOOR gets the inner edge psi0 (no certain survivors), so
+    every sample on that side closer than the outer edge runs the kernel.
+    """
+    psi0 = profile.asymptotic_angle()
+    side = np.array([[-1.0], [1.0]])
+    edge = np.array([[window[0]], [window[1]]])
+    thr = np.broadcast_to(thresholds, (2, thresholds.size))
+    at_floor = 2.0 * upsilon0_batch(profile, psi0 + side[:, 0] * _ROOT_FLOOR)
+    deep = at_floor[:, None] > thr  # the root lies beyond the floor
+    whole = 2.0 * upsilon0_batch(profile, edge[:, 0])[:, None] > thr
+    lo = np.full(thr.shape, math.log(_ROOT_FLOOR))  # above T if deep
+    hi = np.broadcast_to(np.log(side * (edge - psi0)), thr.shape)  # not above T
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        vals = upsilon0_batch(profile, (psi0 + side * np.exp(mid)).ravel())
+        above = 2.0 * vals.reshape(thr.shape) > thr
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    root = np.exp(0.5 * (lo + hi))
+    inner = np.where(deep, psi0 + side * root * (1.0 - _BRACKET_DELTA), psi0)
+    inner = np.where(whole, side * np.inf, inner)
+    outer = np.where(whole, side * np.inf, psi0 + side * root * (1.0 + _BRACKET_DELTA))
+    _certify(profile, np.where(whole, edge, inner), deep | whole, thr, 1.0)
+    # an outer edge past the window edge has no sample beyond it
+    _certify(profile, outer, (edge[0] <= outer) & (outer <= edge[1]), thr, -1.0)
+    return _Brackets(
+        thresholds=thresholds,
+        inner=inner,
+        outer=outer,
+        core=(psi0 - _ROOT_FLOOR, psi0 + _ROOT_FLOOR),
+    )
+
+
+def _certify(profile, psi, mask, thr, sign: float) -> None:
+    """Raise AccuracyError unless 2*Upsilon0 at each psi[mask] lies beyond
+    its threshold in the direction of sign by more than twice max(its
+    relative error estimate, the 1e-9 ceiling)."""
+    vals, rel = _certified_rows(profile, psi[mask])
+    t = thr[mask]
+    clear = sign * (2.0 * vals - t) > 2.0 * np.maximum(rel, _ERR_CEILING) * t
+    if not clear.all():
+        worst = float(np.min(np.abs(2.0 * vals / t - 1.0)[~clear]))
+        raise AccuracyError(
+            f"tail brackets: at {int((~clear).sum())} bracket edge(s) the kernel "
+            f"is not clear of its threshold (closest relative gap {worst:.3e})",
+            achieved=worst,
+        )
+
+
 def _tail_chunk(
     profile: SurfaceProfile,
     seed: int,
     index: int,
     size: int,
     window: tuple[float, float],
-    thresholds: np.ndarray,
+    brackets: _Brackets,
 ) -> np.ndarray:
-    rng = chunk_rng(seed, index)
-    psi = rng.uniform(window[0], window[1], size)
-    res = 2.0 * upsilon0_batch(profile, psi)
-    # inf (an exactly asymptotic entry) survives every threshold; NaN is a
-    # kernel failure that must not leave the counts while total keeps it
-    bad = int(np.isnan(res).sum())
-    if bad:
-        raise AccuracyError(
-            f"tail chunk {index}: GL kernel returned NaN for {bad} of {size} samples"
-        )
-    return (res[None, :] > thresholds[:, None]).sum(axis=1).astype(np.int64)
+    """Survivor counts per threshold among the samples of chunk index."""
+    psi = chunk_rng(seed, index).uniform(window[0], window[1], size)
+    inner, outer, (core_lo, core_hi) = brackets.inner, brackets.outer, brackets.core
+    # a sample beyond every outer edge survives no threshold
+    psi = psi[(psi > outer[0].min(initial=np.inf)) & (psi < outer[1].max(initial=-np.inf))]
+    inside = (psi > inner[0][:, None]) & (psi < inner[1][:, None])
+    core = (psi > core_lo) & (psi < core_hi)
+    run = ((psi > outer[0][:, None]) & (psi < outer[1][:, None]) & ~inside) | core
+    counts = (inside & ~core).sum(axis=1, dtype=np.int64)
+    rows = run.any(axis=0)
+    if rows.any():
+        res = 2.0 * upsilon0_batch(profile, psi[rows])
+        # inf (an exactly asymptotic entry) survives every threshold; NaN is
+        # a kernel failure that must not leave the counts while total keeps it
+        bad = int(np.isnan(res).sum())
+        if bad:
+            raise AccuracyError(
+                f"tail chunk {index}: GL kernel returned NaN for {bad} of "
+                f"{res.size} bracket samples"
+            )
+        counts += (run[:, rows] & (res > brackets.thresholds[:, None])).sum(axis=1)
+    return counts
 
 
 def tail_estimate(config: ExperimentConfig, thresholds=None) -> TailEstimate:
@@ -360,24 +474,12 @@ def tail_estimate(config: ExperimentConfig, thresholds=None) -> TailEstimate:
         thresholds = default_thresholds(profile, config.n0, n_hi=max(n_hi, 200))
     thresholds = np.asarray(thresholds, dtype=float)
 
-    n_chunks = -(-config.samples // config.chunk_size)
-    sizes = [
-        min(config.chunk_size, config.samples - i * config.chunk_size)
-        for i in range(n_chunks)
-    ]
-    args = [
-        (profile, config.seed, i, sizes[i], window, thresholds)
-        for i in range(n_chunks)
-    ]
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            partials = list(pool.map(lambda a: _tail_chunk(*a), args))
-    else:
-        partials = [_tail_chunk(*a) for a in args]
-
+    brackets = _survivor_brackets(profile, window, thresholds)
     counts = np.zeros(len(thresholds), dtype=np.int64)
-    for part in partials:  # fixed merge order; integer sums are exact anyway
-        counts += part
+    for i in range(-(-config.samples // config.chunk_size)):
+        size = min(config.chunk_size, config.samples - i * config.chunk_size)
+        # fixed merge order; integer sums are exact anyway
+        counts += _tail_chunk(profile, config.seed, i, size, window, brackets)
 
     keep = counts >= 20
     dropped = tuple(float(t) for t in thresholds[~keep])

@@ -164,3 +164,34 @@ def test_band_of_roundtrips_exact_boundary(k, side, ulps):
     assert (None if band is None else band.n) == _exact_band(c)
     if ulps:
         assert band.side == side and (band.n >= n) == (ulps < 0)
+
+
+def _gap_band(u):
+    """Band index of the gap u by comparing it with 1/m^2 in rationals;
+    None on a boundary."""
+    exact = Fraction(u)
+    guess = round(1.0 / math.sqrt(u))
+    for m in range(max(1, guess - 2), guess + 3):
+        if exact == Fraction(1, m * m):
+            return None
+        if Fraction(1, (m + 1) ** 2) < exact < Fraction(1, m * m):
+            return m
+    raise AssertionError(f"no band near {guess} for u = {u!r}")
+
+
+@settings(max_examples=300)
+@given(
+    log_n=st.floats(1.0, 7.0),
+    ulps=st.integers(-3, 3),
+    side=st.sampled_from(bands.SIDES),
+)
+def test_band_of_gap_exact_near_edges(log_n, ulps, side):
+    # within a few ulps of 1/float(n)^2 the two roundings of 1/sqrt(u) can
+    # land on the wrong side of n; the band must still be the exact one
+    n = int(10.0**log_n)
+    u = 1.0 / float(n) ** 2
+    for _ in range(abs(ulps)):
+        u = math.nextafter(u, math.inf if ulps > 0 else 0.0)
+    band = band_of_gap(u, side, n0=1)
+    assert (None if band is None else band.n) == _gap_band(u)
+    assert band is None or band.side == side

@@ -189,6 +189,16 @@ def test_report_single_criterion(tmp_path, capsys):
     assert report["failures"] == []
 
 
+def test_report_rerun_is_byte_identical(tmp_path, capsys):
+    # wall times go to the [PASS] lines on stdout, never into the file
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for path in (a, b):
+        code, out, _ = run(["report", "--only", "10", "--out", str(path)], capsys)
+        assert code == 0 and "[PASS] criterion 10" in out
+    assert a.read_bytes() == b.read_bytes()
+    assert "runtime" not in a.read_text()
+
+
 def test_parser_covers_every_command():
     parser = build_parser()
     actions = [a for a in parser._actions if a.dest == "command"]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from neckflow import experiments
@@ -12,6 +12,7 @@ from neckflow.experiments import (
     ExperimentConfig,
     _BLOCK_ROWS,
     _embedded_rule,
+    _survivor_brackets,
     _tail_chunk,
     chunk_rng,
     default_thresholds,
@@ -207,21 +208,122 @@ def test_tail_estimate_pinned_counts():
     assert r6.counts.tolist() == [1305, 878, 582, 379, 233, 136, 85, 44, 28]
 
 
-def _chunk_with_kernel(prof, monkeypatch, values, index=0):
-    values = np.asarray(values, dtype=float)
-    monkeypatch.setattr(experiments, "upsilon0_batch", lambda profile, psi: values)
-    thresholds = np.array([1.0, 10.0, 100.0])
-    return _tail_chunk(prof, 0, index, values.size, entry_window(prof), thresholds)
+class _Drawn:
+    """Stands in for a chunk's generator: draws the given angles."""
+
+    def __init__(self, psi):
+        self.psi = np.asarray(psi, dtype=float)
+
+    def uniform(self, low, high, size):
+        assert size == self.psi.size and np.all((low <= self.psi) & (self.psi <= high))
+        return self.psi
+
+
+def _chunk_of(prof, monkeypatch, psi, brackets, index=0):
+    monkeypatch.setattr(experiments, "chunk_rng", lambda seed, i: _Drawn(psi))
+    return _tail_chunk(prof, 0, index, len(psi), entry_window(prof), brackets)
+
+
+def _brackets(prof, extra=()):
+    thr = np.append(default_thresholds(prof), extra)
+    return _survivor_brackets(prof, entry_window(prof), thr)
 
 
 def test_tail_chunk_raises_on_nan(prof4, monkeypatch):
+    brackets = _brackets(prof4)
+    # one sample between the inner and outer edge of the first crossing root
+    psi = [0.5 * (brackets.inner[1, 0] + brackets.outer[1, 0])]
+    monkeypatch.setattr(
+        experiments, "upsilon0_batch", lambda profile, psi: np.full(len(psi), np.nan)
+    )
     with pytest.raises(AccuracyError, match="chunk 7"):
-        _chunk_with_kernel(prof4, monkeypatch, [1.0, np.nan, 2.0], index=7)
+        _chunk_of(prof4, monkeypatch, psi, brackets, index=7)
 
 
-def test_tail_chunk_counts_inf_as_survivor(prof4, monkeypatch):
-    counts = _chunk_with_kernel(prof4, monkeypatch, [0.1, np.inf, 3.0])
-    assert counts.tolist() == [2, 1, 1]
+def test_tail_chunk_counts_inf_as_survivor(prof_narrow, monkeypatch):
+    # at eps0 = 0.5 the inversion residual of psi0 is zero, so psi0 itself
+    # has u == 0 and an infinite residence time; 1e6 has its root below the
+    # bisection floor, so no inner edge vouches for the sample there
+    psi0 = prof_narrow.asymptotic_angle()
+    assert entry_scales(prof_narrow, np.array([psi0]))[0][0] == 0.0
+    brackets = _brackets(prof_narrow, extra=[1e6])
+    assert np.all(brackets.inner[:, -1] == psi0)
+    counts = _chunk_of(prof_narrow, monkeypatch, [psi0], brackets)
+    assert counts.tolist() == [1] * brackets.thresholds.size
+
+
+@pytest.mark.parametrize("key", [(4.0, 1.0), (6.0, 0.5), (10.0, 1.5)])
+def test_tail_chunk_counts_bracket_samples_like_the_kernel(key, monkeypatch):
+    prof = SurfaceProfile(r=key[0], eps0=key[1])
+    lo, hi = entry_window(prof)
+    # 1.0 is exceeded on the whole window, 1e5 has its root below the floor
+    brackets = _brackets(prof, extra=[1.0, 1e5])
+    inner, outer = brackets.inner, brackets.outer
+    finite = np.isfinite(outer)
+    psi0 = prof.asymptotic_angle()
+    placed = np.concatenate(
+        [
+            inner[finite],
+            outer[finite],
+            0.5 * (inner + outer)[finite],
+            [psi0 - 0.5 * experiments._ROOT_FLOOR, psi0 + 0.5 * experiments._ROOT_FLOOR],
+        ]
+    )
+    placed = placed[(lo <= placed) & (placed <= hi)]
+    psi = np.concatenate([placed, np.random.default_rng(2).uniform(lo, hi, 500)])
+    reference = (
+        2.0 * upsilon0_batch(prof, psi)[None, :] > brackets.thresholds[:, None]
+    ).sum(axis=1)
+    rows = []
+    kernel = experiments.upsilon0_batch
+
+    def spy(profile, psi):
+        rows.append(len(psi))
+        return kernel(profile, psi)
+
+    monkeypatch.setattr(experiments, "upsilon0_batch", spy)
+    counts = _chunk_of(prof, monkeypatch, psi, brackets)
+    assert counts.tolist() == reference.tolist()
+    # every placed sample but the outer edges themselves ran the kernel
+    assert rows[0] >= placed.size - int(finite.sum())
+    assert counts[-2] == psi.size and 0 < counts[0] < psi.size
+
+
+def test_tail_brackets_without_width_fail_the_certificate(monkeypatch):
+    # with no width, the inner and outer edge coincide at the bisected root,
+    # where the kernel cannot clear the threshold on both sides
+    monkeypatch.setattr(experiments, "_BRACKET_DELTA", 0.0)
+    with pytest.raises(AccuracyError, match="bracket"):
+        tail_estimate(ExperimentConfig(r=4.0, samples=20_000, seed=1))
+
+
+_MONOTONE_PROFILES = {
+    (r, eps0): SurfaceProfile(r=r, eps0=eps0)
+    for r in (4.0, 6.0, 10.0)
+    for eps0 in (0.5, 1.0, 2.0)
+}
+
+
+@settings(max_examples=200)
+@given(
+    key=st.sampled_from(sorted(_MONOTONE_PROFILES)),
+    depth=st.floats(0.0, 1.0),
+    log_step=st.floats(-6.0, 0.0),
+)
+def test_bouncing_residence_time_is_monotone(key, depth, log_step):
+    # the survivor brackets rely on 2*Upsilon0 growing toward psi0; on the
+    # crossing side that is proved, on the bouncing side it is checked here
+    # with the adaptive quadrature, from the bisection floor out to half the
+    # n0 window (or, at r=10, eps0=0.5 where that window is empty, to half
+    # the angle at which c = (1 + a) / 2)
+    prof = _MONOTONE_PROFILES[key]
+    a, psi0 = prof.boundary_radius, prof.asymptotic_angle()
+    reach = psi0 - math.acos(min(1.01, 0.5 * (1.0 + a)) / a)
+    floor = experiments._ROOT_FLOOR
+    near = floor * (0.5 * reach / floor) ** depth
+    psi_near, psi_far = psi0 - near, psi0 - near * (1.0 + 10.0**log_step)
+    assume(psi_far < psi_near)  # a step below one ulp of psi0 moves nothing
+    assert upsilon0(prof, psi_near) > upsilon0(prof, psi_far)
 
 
 def test_tail_estimate_rejects_tiny_runs():

@@ -183,31 +183,25 @@ def test_zeta_derivs_raise_above_ceiling(prof4, monkeypatch):
         assert info.value.achieved > 0.0
 
 
-def test_zeta_derivs_at_exact_band_boundary(prof4):
+def test_zeta_derivs_at_exact_band_boundary():
     """An angle whose gap is exactly 1/n^2 has exact derivatives too.
 
-    Such doubles exist but must be hunted for: step psi by ulps near the
-    nominal boundary until the entry's exact gap u gives 1/sqrt(u) = 4
-    dead on.
+    Such doubles are rare: scanning 1e5 ulps either side of the nominal
+    boundary of every dyadic band n = 2..512, at r = 4, 6, 10 and five
+    widths, found bouncing entries with a gap of exactly 1/n^2 only at
+    r = 4, eps0 = 0.75.  This is the one on the edge of band 8.
     """
+    from fractions import Fraction
+
     from neckflow.bands import band_of_gap
 
-    # aim at gap 1/16: it is dyadic, so a gap within an ulp or two of it
-    # has sqrt and reciprocal that round to exactly 0.25 and 4.  In this
-    # scan one psi-ulp step lands in that window.
-    psi = math.acos(1.0625 / 2.0)
-    for _ in range(200):
-        psi = math.nextafter(psi, 0.0)
-    hit = None
-    for _ in range(400):
-        psi = math.nextafter(psi, math.pi)
-        ent = entry_data(prof4, psi)
-        if band_of_gap(ent.u, ent.klass.value, n0=1) is None:
-            hit = psi
-            break
-    assert hit is not None, "scan failed to land on the boundary rounding window"
-    assert entry_data(prof4, hit).klass is TrajectoryClass.BOUNCING
-    _assert_matches_oracle(prof4, hit)
+    prof = SurfaceProfile(r=4.0, eps0=0.75)
+    psi = 0.6895799048528891
+    ent = entry_data(prof, psi)
+    assert Fraction(ent.u) == Fraction(1, 64)
+    assert ent.klass is TrajectoryClass.BOUNCING
+    assert band_of_gap(ent.u, ent.klass.value, n0=1) is None
+    _assert_matches_oracle(prof, psi)
 
 
 def test_bouncing_derivs_one_ulp_below_asymptote(prof4):
