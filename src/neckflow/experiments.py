@@ -11,23 +11,18 @@ thresholds T, how many have a residence time 2*Upsilon0 above T.  The
 residence time grows as the entry angle nears the asymptotic angle psi0 from
 either side, so each threshold's survivors are the samples within some
 distance of psi0 on each side.  Those distances are found once per run by
-bisecting a batched Gauss-Legendre engine that evaluates the same
-regularized integrands as transition.upsilon0; each root is widened into a
-bracket whose edges are certified against the engine's error estimate, and
-only the rare samples inside a bracket are integrated.
+bisecting upsilon0_batch, the batch form of transition's graded-panel
+engine; each root is widened into a bracket whose edges are certified
+against the engine's error estimate, and only the rare samples inside a
+bracket are integrated.
 
-The engine gives each row two panels split at its own scale, the outer one
-graded in a log variable, so the accuracy holds uniformly up to the
-asymptotic angle.  An embedded lower-order rule gives every row an error
-estimate: a row above the adaptive path's 1e-9 relative ceiling is redone
-at twice the nodes, and one still above it raises AccuracyError, so the
-engine never returns a degraded number.  Rows run in fixed blocks on
-buffers allocated once per call, so memory does not grow with the batch.
+The scaling and distortion suites evaluate the transition map at band
+midpoints and in-band offsets through transition.evaluate and
+transition.zeta_derivs, the one-row case of the same engine.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -38,17 +33,7 @@ from .asymptotics import ScalingFit, fit_exponent
 from .bands import DEFAULT_N0
 from .errors import AccuracyError
 from .surface import SurfaceProfile
-from .transition import _ERR_CEILING
-
-_GL_NODES = 64  # first level: a 32-node answer rule on each of two panels
-# Rows per first-level block: each of the _BUFFERS arrays holds 176 x 112
-# floats (both panels, answer and estimate nodes), 154 KiB, allocated once
-# per call.  Larger blocks mean fewer numpy calls per row, smaller ones less
-# memory; the buffers are separate arrays because as one 770 KiB array they
-# raised glibc's trim threshold to twice that, and the benchmark's peak RSS
-# by 0.7 MB.
-_BLOCK_ROWS = 176
-_BUFFERS = 5  # the node array and four integrand scratch arrays
+from .transition import _GL_NODES
 
 
 @dataclass(frozen=True)
@@ -93,206 +78,17 @@ def entry_window(profile: SurfaceProfile, n0: int = DEFAULT_N0) -> tuple[float, 
     return math.acos((1.0 + u_max) / a), math.acos((1.0 - u_max) / a)
 
 
-def entry_scales(profile: SurfaceProfile, psi: np.ndarray):
-    """(u, bouncing mask) for an array of entry angles, cancellation-free.
-
-    Vector twin of transition.entry_data: u comes from the product form of
-    cos(psi) - cos(psi0) plus the one-ulp inversion residual, so deep-band
-    values keep full relative accuracy.
-    """
-    a = profile.boundary_radius
-    psi0 = profile.asymptotic_angle()
-    resid = a * math.cos(psi0) - 1.0
-    d = psi - psi0
-    prod = 2.0 * a * np.sin(0.5 * (psi + psi0)) * np.abs(np.sin(0.5 * d))
-    cm1 = np.where(d < 0.0, prod, -prod) + resid
-    return np.abs(cm1), cm1 > 0.0
-
-
 def upsilon0_batch(
     profile: SurfaceProfile, psi: np.ndarray, nodes: int = _GL_NODES
 ) -> np.ndarray:
     """Half transit times for a batch of entry angles, certified to 1e-9.
 
-    Each row is integrated on two graded panels split at its own scale
-    (see _graded_panels), nodes // 2 Gauss-Legendre nodes per panel; an
-    embedded rule of 3/4 as many nodes gives the error estimate.  A row
-    whose estimate exceeds the 1e-9 relative ceiling is redone at twice the
-    nodes, and if it still exceeds it AccuracyError is raised with the
-    worst relative estimate.  Angles exactly asymptotic (u = 0) return inf.
-
-    Rows are evaluated in fixed blocks on buffers allocated once per call,
-    so memory does not grow with the batch.  Each row is computed on its
-    own and refined on its own estimate, so a row's value depends only on
-    its entry angle, never on the blocking or on the rest of the batch.
+    The batch form of transition.upsilon0, from the same engine (see
+    transition.excursion_integrals), with nodes // 2 Gauss-Legendre nodes
+    per panel at the first level: each row's value depends only on its
+    entry angle.  Angles exactly asymptotic (u = 0) return inf.
     """
-    return _certified_rows(profile, psi, nodes)[0]
-
-
-def _certified_rows(profile: SurfaceProfile, psi, nodes: int = _GL_NODES):
-    """(upsilon0_batch values, their relative error estimates); an exactly
-    asymptotic row has the estimate 0."""
-    psi = np.asarray(psi, dtype=float)
-    u, bounce = entry_scales(profile, psi)
-    out = np.full(psi.shape, np.inf)
-    est = np.zeros(psi.shape)
-    finite = u > 0.0
-    for rows, integrand in (
-        (bounce & finite, _bouncing_rows),
-        (~bounce & finite, _crossing_rows),
-    ):
-        ur = u[rows]
-        vals, rel = _blocked(integrand, profile, ur, nodes // 2)
-        redo = ~(rel <= _ERR_CEILING)  # a NaN estimate is redone too
-        if redo.any():
-            vals[redo], rel[redo] = _blocked(integrand, profile, ur[redo], nodes)
-            worst = float(np.max(rel[redo]))
-            if not worst <= _ERR_CEILING:
-                raise AccuracyError(
-                    f"GL tail kernel: relative error estimate {worst:.3e} at "
-                    f"{nodes} nodes per panel, above the 1e-9 ceiling",
-                    achieved=worst,
-                )
-        out[rows] = vals
-        est[rows] = rel
-    return out, est
-
-
-def _blocked(integrand, profile: SurfaceProfile, u: np.ndarray, n: int):
-    """(value, relative error estimate) per row at n nodes per panel.
-
-    Blocks hold _BLOCK_ROWS rows at the first level and proportionally
-    fewer at higher node counts, so every level fits the same buffers.
-    """
-    width = 2 * _embedded_rule(n)[0].size
-    step = max(1, _BLOCK_ROWS * _GL_NODES // (2 * n))
-    work = [np.empty(min(step, u.size) * width) for _ in range(_BUFFERS)]
-    vals = np.empty(u.shape)
-    rel = np.empty(u.shape)
-    for i in range(0, u.size, step):
-        ub = u[i : i + step]
-        bufs = [buf[: ub.size * width].reshape(ub.size, width) for buf in work]
-        f, a, b = integrand(profile, ub[:, None])
-        vals[i : i + step], rel[i : i + step] = _graded_panels(f, a, b, n, bufs)
-    return vals, rel
-
-
-@functools.lru_cache(maxsize=8)
-def _embedded_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (nodes, weights) of an n-node Gauss-Legendre rule and its
-    3n/4-node estimate rule, shared by every caller.
-
-    The nodes on [0, 1] of the two rules are concatenated; the weights are
-    repeated once more for the second panel, so one multiply weights both.
-    """
-    parts = [np.polynomial.legendre.leggauss(k) for k in (n, 3 * n // 4)]
-    x = 0.5 * (np.concatenate([p[0] for p in parts]) + 1.0)
-    wt = np.tile(0.5 * np.concatenate([p[1] for p in parts]), 2)
-    x.flags.writeable = False
-    wt.flags.writeable = False
-    return x, wt
-
-
-def _graded_panels(f, a: np.ndarray, b, n: int, bufs):
-    """(value, relative error estimate) of int_0^b f per row, 0 < a < b.
-
-    The inner panel [0, a] is plain Gauss-Legendre.  The outer panel [a, b]
-    is Gauss-Legendre in t for z = a*exp(t): beyond the row's own scale a
-    the integrand decays like a power of z, which is smooth in t however
-    small a is.  f is evaluated in one pass on the nodes of both panels and
-    both rules, in place on bufs; each panel's estimate is the difference
-    of its n-node and 3n/4-node values.
-    """
-    x, wt = _embedded_rule(n)
-    m = x.size
-    z = bufs[0]
-    span = np.log(b / a)
-    np.multiply(a, x, out=z[:, :m])
-    np.multiply(span, x, out=z[:, m:])
-    np.exp(z[:, m:], out=z[:, m:])
-    z[:, m:] *= a
-    g = f(z, *bufs[1:])
-    g[:, m:] *= z[:, m:]  # dz = z dt on the outer panel
-    g *= wt
-    sums = np.add.reduceat(g, [0, n, m, m + n], axis=1)
-    inner = sums[:, :2] * a
-    outer = sums[:, 2:] * span
-    val = inner[:, 0] + outer[:, 0]
-    err = np.abs(inner[:, 0] - inner[:, 1]) + np.abs(outer[:, 0] - outer[:, 1])
-    return val, err / val
-
-
-# The integrands below are evaluated in place on preallocated buffers, one
-# ufunc at a time in the order of the formula in their comment, so a block
-# allocates nothing its own size.  Fresh temporaries cost more than the
-# arithmetic: the allocator hands freed blocks back to the OS and faults
-# them in again.
-
-
-def _bouncing_rows(profile: SurfaceProfile, u: np.ndarray):
-    """(f, a, b) for bouncing rows: the integrand in w, s = y + w^2, split at
-    sqrt(y) on [0, sqrt(eps0 - y)]; u is a column of gaps."""
-    r, eps0 = profile.r, profile.eps0
-    y = u ** (1.0 / r)
-    q = y**r  # equals u to rounding; keeps xi-c internally consistent
-    two_plus_u = 2.0 + u
-
-    def f(w, t0, t1, t2, t3):
-        # xi sqrt(1 + xp^2) 2w / sqrt((xi-c)(xi+c)) with s = y + w^2,
-        # sr = s^r, xi = 1 + sr, xp = r sr / s, xi+c = 2 + u + sr and
-        # xi-c = q expm1(r log1p(w^2 / y))
-        np.multiply(w, w, out=t0)
-        s = np.add(y, t0, out=t1)
-        sr = np.power(s, r, out=t2)
-        g = np.multiply(r, sr, out=t3)
-        g /= s
-        g *= g
-        g += 1.0
-        np.sqrt(g, out=g)
-        ximc = np.divide(t0, y, out=t0)
-        np.log1p(ximc, out=ximc)
-        np.multiply(r, ximc, out=ximc)
-        np.expm1(ximc, out=ximc)
-        ximc *= q
-        xipc = np.add(two_plus_u, sr, out=t1)
-        ximc *= xipc
-        root = np.sqrt(ximc, out=ximc)
-        val = np.add(1.0, sr, out=t2)
-        val *= g
-        val *= 2.0
-        val *= w
-        val /= root
-        return val
-
-    top = np.sqrt(eps0 - y)
-    return f, np.minimum(np.sqrt(y), 0.5 * top), top
-
-
-def _crossing_rows(profile: SurfaceProfile, u: np.ndarray):
-    """(f, a, b) for crossing rows: the integrand in s, split at the peak
-    width u^(1/r) on [0, eps0]; u is a column of gaps."""
-    r, eps0 = profile.r, profile.eps0
-    two_minus_u = 2.0 - u
-
-    def f(s, t0, t1, t2, t3):
-        # xi sqrt(1 + xp^2) / sqrt((xi-c)(xi+c)) with sr = s^r,
-        # xi = 1 + sr, xp = r sr / s, xi-c = sr + u, xi+c = 2 - u + sr
-        sr = np.power(s, r, out=t0)
-        g = np.multiply(r, sr, out=t1)
-        g /= s
-        g *= g
-        g += 1.0
-        np.sqrt(g, out=g)
-        ximc = np.add(sr, u, out=t2)
-        xipc = np.add(two_minus_u, sr, out=t3)
-        ximc *= xipc
-        root = np.sqrt(ximc, out=ximc)
-        val = np.add(1.0, sr, out=t0)
-        val *= g
-        val /= root
-        return val
-
-    return f, np.minimum(u ** (1.0 / r), 0.5 * eps0), eps0
+    return transition.excursion_integrals(profile, psi, nodes=nodes)[0, 0]
 
 
 def default_thresholds(
@@ -413,9 +209,10 @@ def _certify(profile, psi, mask, thr, sign: float) -> None:
     """Raise AccuracyError unless 2*Upsilon0 at each psi[mask] lies beyond
     its threshold in the direction of sign by more than twice max(its
     relative error estimate, the 1e-9 ceiling)."""
-    vals, rel = _certified_rows(profile, psi[mask])
+    vals, err = transition.excursion_integrals(profile, psi[mask])[:, 0]
     t = thr[mask]
-    clear = sign * (2.0 * vals - t) > 2.0 * np.maximum(rel, _ERR_CEILING) * t
+    ceiling = transition._ERR_CEILING
+    clear = sign * (2.0 * vals - t) > 2.0 * np.maximum(err / vals, ceiling) * t
     if not clear.all():
         worst = float(np.min(np.abs(2.0 * vals / t - 1.0)[~clear]))
         raise AccuracyError(

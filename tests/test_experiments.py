@@ -5,26 +5,30 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from neckflow import experiments
+import _oracles as orc
+from neckflow import experiments, transition
 from neckflow.bands import band_midpoint
 from neckflow.errors import AccuracyError
 from neckflow.experiments import (
     ExperimentConfig,
-    _BLOCK_ROWS,
-    _embedded_rule,
     _survivor_brackets,
     _tail_chunk,
     chunk_rng,
     default_thresholds,
     distortion_suite,
-    entry_scales,
     entry_window,
     scaling_suite,
     tail_estimate,
     upsilon0_batch,
 )
 from neckflow.surface import SurfaceProfile
-from neckflow.transition import entry_data, upsilon0
+from neckflow.transition import _BLOCK_ROWS, _embedded_rule, entry_data, entry_scales, upsilon0
+
+
+def _oracle_upsilon0(prof, psi):
+    """upsilon0 at psi by the adaptive-quadrature oracle, at the package's gap."""
+    ent = entry_data(prof, psi)
+    return orc.excursion_quad(prof.r, prof.eps0, ent.u, ent.c > 1.0, "upsilon0")
 
 
 def test_chunk_rng_reproducible():
@@ -64,7 +68,7 @@ def test_upsilon0_batch_matches_adaptive(prof4, prof6):
                 psis.append(band_midpoint(prof, n, side)[1])
         batch = upsilon0_batch(prof, np.array(psis))
         for k, psi in enumerate(psis):
-            assert batch[k] == pytest.approx(upsilon0(prof, psi), rel=1e-10)
+            assert batch[k] == pytest.approx(_oracle_upsilon0(prof, psi), rel=1e-10)
 
 
 def test_upsilon0_batch_blocks_match_rows(prof_narrow):
@@ -113,11 +117,11 @@ def test_upsilon0_batch_matches_adaptive_near_asymptote(key, log_depth, side):
     prof = _PROFILES[key]
     psi = prof.asymptotic_angle() + side * 10.0**log_depth
     batch = upsilon0_batch(prof, np.array([psi]))[0]
-    assert batch == pytest.approx(upsilon0(prof, psi), rel=1e-10)
+    assert batch == pytest.approx(_oracle_upsilon0(prof, psi), rel=1e-10)
 
 
 def test_upsilon0_batch_raises_above_ceiling(prof4, monkeypatch):
-    monkeypatch.setattr(experiments, "_ERR_CEILING", 0.0)
+    monkeypatch.setattr(transition, "_ERR_CEILING", 0.0)
     lo, hi = entry_window(prof4)
     with pytest.raises(AccuracyError) as info:
         upsilon0_batch(prof4, np.linspace(lo, hi, 7))
@@ -131,14 +135,14 @@ def test_upsilon0_batch_refines_rows_above_ceiling(monkeypatch):
     lo, hi = entry_window(prof)
     psi = np.random.default_rng(11).uniform(lo, hi, 600)
     levels = {}
-    blocked = experiments._blocked
+    blocked = transition._blocked
 
-    def spy(integrand, profile, u, n):
-        vals, rel = blocked(integrand, profile, u, n)
-        levels.setdefault(n, []).append((u, rel.copy()))
-        return vals, rel
+    def spy(side, profile, u, which, n):
+        res = blocked(side, profile, u, which, n)
+        levels.setdefault(n, []).append((u, res[1, 0] / res[0, 0]))
+        return res
 
-    monkeypatch.setattr(experiments, "_blocked", spy)
+    monkeypatch.setattr(transition, "_blocked", spy)
     batch = upsilon0_batch(prof, psi)
     first = np.concatenate([rel for _, rel in levels[32]])
     refined_u = np.concatenate([u for u, _ in levels[64]])
@@ -147,7 +151,7 @@ def test_upsilon0_batch_refines_rows_above_ceiling(monkeypatch):
     refined = np.flatnonzero(np.isin(entry_scales(prof, psi)[0], refined_u))
     assert refined.size == refined_u.size
     for k in refined:
-        assert batch[k] == pytest.approx(upsilon0(prof, float(psi[k])), rel=1e-9)
+        assert batch[k] == pytest.approx(_oracle_upsilon0(prof, float(psi[k])), rel=1e-9)
         # refinement is per row: alone, the row gets the same bits
         assert upsilon0_batch(prof, psi[k : k + 1])[0] == batch[k]
 
@@ -313,9 +317,9 @@ _MONOTONE_PROFILES = {
 def test_bouncing_residence_time_is_monotone(key, depth, log_step):
     # the survivor brackets rely on 2*Upsilon0 growing toward psi0; on the
     # crossing side that is proved, on the bouncing side it is checked here
-    # with the adaptive quadrature, from the bisection floor out to half the
-    # n0 window (or, at r=10, eps0=0.5 where that window is empty, to half
-    # the angle at which c = (1 + a) / 2)
+    # with the engine the brackets bisect, from the bisection floor out to
+    # half the n0 window (or, at r=10, eps0=0.5 where that window is empty,
+    # to half the angle at which c = (1 + a) / 2)
     prof = _MONOTONE_PROFILES[key]
     a, psi0 = prof.boundary_radius, prof.asymptotic_angle()
     reach = psi0 - math.acos(min(1.01, 0.5 * (1.0 + a)) / a)

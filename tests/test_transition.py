@@ -10,12 +10,14 @@ from neckflow import transition
 from neckflow.bands import band_midpoint
 from neckflow.dynamics import GeodesicState, neck_transit
 from neckflow.errors import AccuracyError, AsymptoticEntryError
+from neckflow.experiments import upsilon0_batch
 from neckflow.surface import SurfaceProfile, TrajectoryClass
 from neckflow.transition import (
     apply_f0,
     df0,
     entry_data,
     evaluate,
+    excursion_integrals,
     growth_factor,
     tabulate_bands,
     upsilon0,
@@ -162,6 +164,67 @@ def test_bouncing_derivs_match_oracle_differences(prof4, prof6):
 def test_bouncing_derivs_match_oracle_property(key, log_u):
     prof = _PROFILES[key]
     _assert_matches_oracle(prof, math.acos((1.0 + 10.0**log_u) / prof.boundary_radius))
+
+
+@pytest.mark.parametrize("r", [2.5, 3.0, 4.0, 6.0, 10.0])
+def test_crossing_derivs_match_oracle(r):
+    """Crossing zeta' and zeta'' vs 40-digit differences of the oracle.
+
+    As in _assert_matches_oracle, the oracle differentiates in the gap u
+    (here 1 - c, so du/dpsi = a sin(psi)) taken from entry_data.
+    """
+    for eps0 in (0.5, 1.0, 2.0):
+        prof = SurfaceProfile(r=r, eps0=eps0, allow_low_r=True)
+        a = prof.boundary_radius
+        for n in (10, 3200, 10**5, 10**7):
+            _, psi = band_midpoint(prof, n, "crossing")
+            if psi == prof.asymptotic_angle():
+                continue  # the band is narrower than an ulp of psi0
+            d = zeta_derivs(prof, psi)
+            d1, d2 = orc.crossing_dzeta_du(r, eps0, entry_data(prof, psi).u)
+            dudpsi = a * math.sin(psi)
+            assert d.zeta_prime == pytest.approx(d1 * dudpsi, rel=1e-10)
+            assert d.zeta_second == pytest.approx(
+                d2 * dudpsi**2 + d1 * a * math.cos(psi), rel=1e-10
+            )
+
+
+def _assert_one_engine(prof, psi):
+    """The scalar, bundled and batch forms of a value share every bit."""
+    ev = evaluate(prof, psi)
+    assert upsilon0(prof, psi) == ev.upsilon0 == upsilon0_batch(prof, [psi])[0]
+    assert zeta(prof, psi) == ev.zeta == excursion_integrals(prof, [psi], ("zeta",))[0, 0, 0]
+
+
+@settings(max_examples=60)
+@given(
+    key=st.sampled_from([(r, eps0) for r in (3.0, 4.0, 6.0) for eps0 in (0.5, 1.0)]),
+    log_depth=st.floats(-14.0, -2.0),
+    side=st.sampled_from((-1.0, 1.0)),
+)
+def test_one_engine_for_scalar_bundled_and_batch_values(key, log_depth, side):
+    prof = _PROFILES[key]
+    _assert_one_engine(prof, prof.asymptotic_angle() + side * 10.0**log_depth)
+
+
+def test_one_engine_when_only_one_integrand_is_refined(monkeypatch):
+    # at this crossing angle the first-level estimate of zeta is above the
+    # ceiling and that of Upsilon0 is not, so only zeta is redone
+    prof = SurfaceProfile(r=10.0, eps0=1.5)
+    psi = 1.5537534571304508
+    first = []
+    blocked = transition._blocked
+
+    def spy(side, profile, u, which, n):
+        res = blocked(side, profile, u, which, n)
+        if n == 32 and u.size:
+            first.append(dict(zip(which, res[1, :, 0] / res[0, :, 0])))
+        return res
+
+    monkeypatch.setattr(transition, "_blocked", spy)
+    _assert_one_engine(prof, psi)
+    bundled = first[0]  # evaluate's pass over all four integrands
+    assert len(bundled) == 4 and bundled["zeta"] > 1e-9 >= bundled["upsilon0"]
 
 
 def test_derivs_error_estimates_are_small_at_moderate_depth(prof4):
