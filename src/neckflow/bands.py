@@ -74,6 +74,41 @@ def c_interval(n: int, side: str) -> tuple[float, float]:
     raise ValueError(f"side must be one of {SIDES}, got {side!r}")
 
 
+def check_band(
+    profile: SurfaceProfile, n: int, side: str, n0: int = DEFAULT_N0
+) -> tuple[float, float]:
+    """c_interval(n, side); ValueError if n0 < 1, n < n0, or the band needs a
+    c above xi(eps0), naming then the shallowest band the profile reaches."""
+    if n0 < 1:
+        raise ValueError(f"band floor n0 must be at least 1, got {n0}")
+    if n < n0:
+        raise ValueError(f"band index {n} is below the configured floor n0={n0}")
+    c_lo, c_hi = c_interval(n, side)
+    if not _reached(profile, c_hi):
+        raise ValueError(
+            f"band (n={n}, {side}) lies outside the entry window; the shallowest "
+            f"band this profile reaches is n={_shallowest_band(profile)}"
+        )
+    return c_lo, c_hi
+
+
+def _reached(profile: SurfaceProfile, c_hi: float) -> bool:
+    return c_hi <= profile.boundary_radius
+
+
+def _shallowest_band(profile: SurfaceProfile) -> int:
+    """Smallest n whose bouncing band (the outer one) entry vectors reach."""
+    gap = profile.boundary_radius - 1.0
+    if gap == 0.0:
+        raise ValueError("xi(eps0) rounds to 1: no band lies in the entry window")
+    n = max(1, math.ceil(gap**-0.5))
+    while not _reached(profile, c_interval(n, BOUNCING)[1]):
+        n += 1
+    while n > 1 and _reached(profile, c_interval(n - 1, BOUNCING)[1]):
+        n -= 1
+    return n
+
+
 def band_boundaries(
     profile: SurfaceProfile, n: int, side: str, n0: int = DEFAULT_N0
 ) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -82,17 +117,10 @@ def band_boundaries(
     The entry-angle interval comes from inverting c = a*cos(psi) at the neck
     boundary, a = 1 + eps0^r, so psi_lo = arccos(c_hi/a).  Bouncing bands
     sit below the asymptotic angle, crossing bands above; bands nest toward
-    it as n grows.
+    it as n grows.  See check_band for the ValueErrors.
     """
-    if n < n0:
-        raise ValueError(f"band index {n} is below the configured floor n0={n0}")
+    c_lo, c_hi = check_band(profile, n, side, n0)
     a = profile.boundary_radius
-    c_lo, c_hi = c_interval(n, side)
-    if c_hi > a:
-        raise ValueError(
-            f"band (n={n}, {side}) needs c up to {c_hi} but xi(eps0)={a}; "
-            "no entry vector reaches it"
-        )
     return (c_lo, c_hi), (math.acos(c_hi / a), math.acos(c_lo / a))
 
 
@@ -130,10 +158,7 @@ def accumulation_distance(
 def band_midpoint(
     profile: SurfaceProfile, n: int, side: str, n0: int = DEFAULT_N0
 ) -> tuple[float, float]:
-    """(c, psi) at the centre (in c) of band (n, side)."""
-    c_lo, c_hi = c_interval(n, side)
+    """(c, psi) at the centre (in c) of band (n, side); see check_band."""
+    c_lo, c_hi = check_band(profile, n, side, n0)
     c_mid = 0.5 * (c_lo + c_hi)
-    a = profile.boundary_radius
-    if c_hi > a:
-        raise ValueError(f"band (n={n}, {side}) lies outside the entry window")
-    return c_mid, math.acos(c_mid / a)
+    return c_mid, math.acos(c_mid / profile.boundary_radius)

@@ -37,14 +37,7 @@ from .outputs import (
 )
 from .surface import SurfaceProfile
 
-#: the ExperimentConfig fields a run may set; chunk_size is internal
-_EXPERIMENT_KEYS = tuple(
-    f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "chunk_size"
-)
-_DEFAULTS = {
-    **{key: getattr(ExperimentConfig, key) for key in _EXPERIMENT_KEYS},
-    "tol": 1e-8,
-}
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,7 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("samples", "Monte-Carlo sample count"),
         ("n_min", "smallest band index"),
         ("n_max", "largest band index"),
-        ("tol", "accuracy tolerance where applicable"),
         ("threads", "accepted and ignored; tails runs on one thread"),
     ):
         default = _DEFAULTS[key]
@@ -84,6 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--psi", type=float, required=True, help="initial angle")
     sp.add_argument("--time", type=float, default=50.0, help="integration horizon")
     sp.add_argument("--points", type=int, default=1000, help="output sample count")
+    sp.add_argument(
+        "--tol", type=float, default=1e-8, help="Clairaut drift tolerance (default 1e-08)"
+    )
     sp.set_defaults(func=cmd_geodesic, default_format="csv")
 
     sp = sub.add_parser("transit", parents=[common], help="one analytic-vs-ODE transit")
@@ -165,10 +160,6 @@ def _profile(cfg: dict) -> SurfaceProfile:
     return SurfaceProfile(r=cfg["r"], eps0=cfg["eps0"])
 
 
-def _experiment_config(cfg: dict) -> ExperimentConfig:
-    return ExperimentConfig(**{key: cfg[key] for key in _EXPERIMENT_KEYS})
-
-
 def _emit(args, cfg, rows=None, columns=None, tables=None, fits=None, fmt=None) -> None:
     fmt = fmt or args.format or args.default_format
     if fmt == "csv":
@@ -194,14 +185,12 @@ def _band_range(cfg) -> np.ndarray:
 def cmd_geodesic(args, cfg) -> int:
     profile = _profile(cfg)
     state = GeodesicState(s=args.s, theta=args.theta, psi=args.psi)
-    path = integrate(
-        profile, state, (0.0, args.time), rtol=1e-10, drift_tol=cfg["tol"]
-    )
+    path = integrate(profile, state, (0.0, args.time), drift_tol=args.tol)
     ts = np.linspace(0.0, path.t_end, args.points)
     rows = trajectory_rows(path.sample(ts))
     _emit(
         args,
-        {**cfg, "s": args.s, "theta": args.theta, "psi": args.psi, "time": args.time},
+        {**cfg, **{key: getattr(args, key) for key in ("s", "theta", "psi", "time", "tol")}},
         rows=rows,
         columns=TRAJECTORY_COLUMNS,
         tables={"drift": path.drift, "terminated": path.terminated},
@@ -209,18 +198,18 @@ def cmd_geodesic(args, cfg) -> int:
     return 0
 
 
-def _entry_angle(args, profile) -> float:
+def _entry_angle(args, profile, n0: int) -> float:
     if args.psi is not None:
         return args.psi
     if args.band is not None:
-        _, psi = bands.band_midpoint(profile, args.band, args.side)
+        _, psi = bands.band_midpoint(profile, args.band, args.side, n0)
         return psi
     raise ValueError("transit needs --psi or --band")
 
 
 def cmd_transit(args, cfg) -> int:
     profile = _profile(cfg)
-    psi = _entry_angle(args, profile)
+    psi = _entry_angle(args, profile, cfg["n0"])
     tr = neck_transit(profile, GeodesicState(-profile.eps0, 0.0, psi))
     ev = transition.evaluate(profile, psi, with_derivs=False)
     row = {
@@ -274,7 +263,7 @@ def cmd_bands(args, cfg) -> int:
 
 
 def cmd_tails(args, cfg) -> int:
-    est = tail_estimate(_experiment_config(cfg))
+    est = tail_estimate(ExperimentConfig(**cfg))
     rows = [
         {"threshold": float(t), "survivors": int(k), "survival": float(k) / est.total}
         for t, k in zip(est.thresholds, est.counts)
@@ -291,7 +280,7 @@ def cmd_tails(args, cfg) -> int:
 
 
 def cmd_scaling(args, cfg) -> int:
-    suite = scaling_suite(_experiment_config(cfg))
+    suite = scaling_suite(ExperimentConfig(**cfg))
     _emit(
         args,
         cfg,
@@ -303,7 +292,7 @@ def cmd_scaling(args, cfg) -> int:
 
 
 def cmd_distortion(args, cfg) -> int:
-    suite = distortion_suite(_experiment_config(cfg))
+    suite = distortion_suite(ExperimentConfig(**cfg))
     _emit(
         args,
         cfg,

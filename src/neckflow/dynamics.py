@@ -23,6 +23,9 @@ from scipy.integrate import solve_ivp
 from .errors import AccuracyError, AsymptoticEntryError, IntegrationStallError, NeckDomainError
 from .surface import SurfaceProfile, TrajectoryClass, classify
 
+_RTOL, _ATOL = 1e-10, 1e-12  # integrate's; a drifting run retries at a hundredth
+_T_MAX = 1e6  # neck_transit's time cap for near-asymptotic entries
+
 
 @dataclass(frozen=True)
 class GeodesicState:
@@ -131,8 +134,7 @@ class GeodesicPath:
         """Rows (t, s, theta, psi, c drift) at the requested times."""
         times = np.asarray(times, dtype=float)
         y = self._sol(times)
-        xi = 1.0 + np.abs(y[0]) ** self.profile.r
-        drift = xi * np.cos(y[2]) - self.c0
+        drift = _clairaut_drift(self.profile, y[0], y[2], self.c0)
         return np.column_stack([times, y[0], y[1], y[2], drift])
 
 
@@ -144,32 +146,34 @@ def _check_stall(sol) -> None:
         )
 
 
+def _clairaut_drift(profile: SurfaceProfile, s, psi, c0: float):
+    """xi(s) cos(psi) - c0 at footpoints that may overshoot |s| = eps0."""
+    xi = 1.0 + np.abs(s) ** profile.r
+    return xi * np.cos(psi) - c0
+
+
 def _measure_drift(profile: SurfaceProfile, sol, c0: float, t0: float, t1: float) -> float:
     ts = np.linspace(t0, t1, 257)
     y = sol.sol(ts)
-    xi = 1.0 + np.abs(y[0]) ** profile.r
-    return float(np.max(np.abs(xi * np.cos(y[2]) - c0)))
+    return float(np.max(np.abs(_clairaut_drift(profile, y[0], y[2], c0))))
 
 
 def integrate(
     profile: SurfaceProfile,
     state: GeodesicState,
     t_span: tuple[float, float],
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
     drift_tol: float | None = 1e-8,
-    max_step: float = np.inf,
     log_events: bool = True,
 ) -> GeodesicPath:
     """Flow a state across t_span, stopping early at a neck boundary.
 
     The Clairaut drift over the run is measured on a dense sample; if it
-    exceeds drift_tol the run is repeated once at rtol/100, and a run that
-    still drifts raises AccuracyError.  Solver breakdown raises
-    IntegrationStallError carrying the time reached.  log_events=False keeps
-    only the terminal boundary events -- use it for host paths that ride
-    along the ridge, where sin(psi) vanishes identically and would register
-    a spurious turning event on every step.
+    exceeds drift_tol the run is repeated once at a hundredth of _RTOL and
+    _ATOL, and a run that still drifts raises AccuracyError.  Solver
+    breakdown raises IntegrationStallError carrying the time reached.
+    log_events=False keeps only the terminal boundary events -- use it for
+    host paths that ride along the ridge, where sin(psi) vanishes
+    identically and would register a spurious turning event on every step.
     """
     profile._check_domain(state.s)
     c0 = state.clairaut(profile)
@@ -180,7 +184,7 @@ def integrate(
     if not log_events:
         ev_funcs, ev_names = ev_funcs[:2], _TERMINAL_ONLY
 
-    tols = (rtol, atol)
+    tols = (_RTOL, _ATOL)
     for attempt in range(2):
         sol = solve_ivp(
             rhs,
@@ -191,7 +195,6 @@ def integrate(
             dense_output=True,
             rtol=tols[0],
             atol=tols[1],
-            max_step=max_step,
         )
         _check_stall(sol)
         drift = _measure_drift(profile, sol, c0, t_span[0], sol.t[-1])
@@ -235,15 +238,11 @@ class NeckTransit:
 def neck_transit(
     profile: SurfaceProfile,
     entry: GeodesicState,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    drift_tol: float | None = 1e-8,
-    t_max: float = 1e6,
 ) -> NeckTransit:
     """Flow an entry vector at s = -eps0 through the neck until it leaves.
 
     Asymptotic entries (|c| = 1) never leave and are rejected up front;
-    near-asymptotic ones are capped at t_max and raise IntegrationStallError
+    near-asymptotic ones are capped at _T_MAX and raise IntegrationStallError
     when the cap is hit.
     """
     eps0 = profile.eps0
@@ -255,12 +254,10 @@ def neck_transit(
     if classify(c0) is TrajectoryClass.ASYMPTOTIC:
         raise AsymptoticEntryError("entry is asymptotic; the excursion never returns")
 
-    path = integrate(
-        profile, entry, (0.0, t_max), rtol=rtol, atol=atol, drift_tol=drift_tol
-    )
+    path = integrate(profile, entry, (0.0, _T_MAX))
     if not path.terminated:
         raise IntegrationStallError(
-            f"no boundary exit before t_max={t_max}", t_reached=path.t_end
+            f"no boundary exit before t_max={_T_MAX}", t_reached=path.t_end
         )
     t_exit = path.t_end
     exit_state = path.state_at(t_exit)

@@ -42,7 +42,9 @@ class ExperimentConfig:
 
     threads is accepted so that existing config files and calls keep
     working, and is ignored: tail_estimate runs on one thread.  Equality
-    and as_dict (the form echoed into outputs) omit it.
+    and as_dict (the form echoed into outputs) omit it.  It stays a field
+    because perfbench/workloads.py constructs configs with it and
+    perfbench/tracing.py reads it back.
     """
 
     r: float = 4.0
@@ -52,7 +54,6 @@ class ExperimentConfig:
     n0: int = DEFAULT_N0
     n_min: int = 25
     n_max: int = 3200
-    chunk_size: int = 16384
     threads: int = field(default=1, compare=False)
 
     def profile(self) -> SurfaceProfile:
@@ -62,20 +63,23 @@ class ExperimentConfig:
         return {key: val for key, val in asdict(self).items() if key != "threads"}
 
 
+_CHUNK_SIZE = 16384  # samples per chunk; chunk i draws from stream (seed, i)
+
+
 def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     """The Philox stream for one chunk; identical on any worker."""
     return np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
 
 
 def entry_window(profile: SurfaceProfile, n0: int = DEFAULT_N0) -> tuple[float, float]:
-    """Entry-angle interval covering all bands deeper than n0, both sides."""
-    if n0 < 1:
-        raise ValueError(f"band floor n0 must be at least 1, got {n0}")
+    """Entry-angle interval covering all bands deeper than n0, both sides.
+
+    Its edges are the outer ones of the bands n0, so bands.check_band on
+    the bouncing one settles whether it exists.
+    """
+    c_hi = bands.check_band(profile, n0, bands.BOUNCING, n0)[1]
     a = profile.boundary_radius
-    u_max = 1.0 / float(n0) ** 2
-    if 1.0 + u_max > a:
-        raise ValueError(f"window n0={n0} reaches |c| = {1 + u_max} > xi(eps0) = {a}")
-    return math.acos((1.0 + u_max) / a), math.acos((1.0 - u_max) / a)
+    return math.acos(c_hi / a), math.acos(bands.c_interval(n0, bands.CROSSING)[0] / a)
 
 
 def upsilon0_batch(
@@ -86,25 +90,28 @@ def upsilon0_batch(
     The batch form of transition.upsilon0, from the same engine (see
     transition.excursion_integrals), with nodes // 2 Gauss-Legendre nodes
     per panel at the first level: each row's value depends only on its
-    entry angle.  Angles exactly asymptotic (u = 0) return inf.
+    entry angle.  Angles exactly asymptotic (u = 0) return inf.  nodes
+    has one value in use, but perfbench/tracing.py reads its default by
+    name.
     """
     return transition.excursion_integrals(profile, psi, nodes=nodes)[0, 0]
 
 
+_THRESHOLD_N_LO, _THRESHOLD_COUNT = 50, 9
+
+
 def default_thresholds(
-    profile: SurfaceProfile,
-    n0: int = DEFAULT_N0,
-    n_lo: int = 50,
-    n_hi: int = 1200,
-    count: int = 9,
+    profile: SurfaceProfile, n0: int = DEFAULT_N0, n_hi: int = 1200
 ) -> np.ndarray:
     """Residence-time thresholds placed at crossing-band midpoints.
 
     Thresholds are genuine times (2 * Upsilon0 at the midpoint of band n for
-    n log-spaced in [n_lo, n_hi]), so the survival curve is probed where the
-    band structure says the tail lives.
+    _THRESHOLD_COUNT values of n log-spaced from max(_THRESHOLD_N_LO, n0) to
+    n_hi), so the survival curve is probed where the band structure says the
+    tail lives.
     """
-    ns = np.unique(np.geomspace(n_lo, n_hi, count).astype(int))
+    n_lo = max(_THRESHOLD_N_LO, n0)
+    ns = np.unique(np.geomspace(n_lo, n_hi, _THRESHOLD_COUNT).astype(int))
     thr = []
     for n in ns:
         _, psi_mid = bands.band_midpoint(profile, int(n), bands.CROSSING, n0=n0)
@@ -273,8 +280,8 @@ def tail_estimate(config: ExperimentConfig, thresholds=None) -> TailEstimate:
 
     brackets = _survivor_brackets(profile, window, thresholds)
     counts = np.zeros(len(thresholds), dtype=np.int64)
-    for i in range(-(-config.samples // config.chunk_size)):
-        size = min(config.chunk_size, config.samples - i * config.chunk_size)
+    for i in range(-(-config.samples // _CHUNK_SIZE)):
+        size = min(_CHUNK_SIZE, config.samples - i * _CHUNK_SIZE)
         # fixed merge order; integer sums are exact anyway
         counts += _tail_chunk(profile, config.seed, i, size, window, brackets)
 
@@ -373,21 +380,19 @@ def _slope_tag(slope: float) -> str:
     return "p1" if slope > 0.0 else "m1"
 
 
-_DISTORTION_OFFSETS = (0.15, 0.3, 0.45, 0.6, 0.75, 0.85)
+_DISTORTION_OFFSETS = (0.15, 0.3, 0.45, 0.6, 0.75, 0.85)  # of the band width
+_HOLDER = 1.0 / 3.0
 
 
-def distortion_suite(
-    config: ExperimentConfig,
-    offsets: tuple[float, ...] = _DISTORTION_OFFSETS,
-    holder: float = 1.0 / 3.0,
-) -> SuiteResult:
+def distortion_suite(config: ExperimentConfig) -> SuiteResult:
     """Bounded-distortion statistic M_n per band, with its trend fit.
 
     M_n is the largest Hoelder-1/3 quotient of log(1 + |zeta'|) over all
-    pairs of in-band angles at the configured width offsets.  zeta' is the
-    exact derivative integral on both sides, certified to 1e-9 relative, so
-    every pair counts.  The trend slope of log M_n vs log n should vanish:
-    bands are exactly the scale on which log-derivative variation is O(1).
+    pairs of in-band angles at the _DISTORTION_OFFSETS of the band width.
+    zeta' is the exact derivative integral on both sides, certified to 1e-9
+    relative, so every pair counts.  The trend slope of log M_n vs log n
+    should vanish: bands are exactly the scale on which log-derivative
+    variation is O(1).
     """
     profile = config.profile()
     ns = np.unique(
@@ -402,14 +407,14 @@ def distortion_suite(
             )
             width = psi_hi - psi_lo
             pts = []
-            for frac in offsets:
+            for frac in _DISTORTION_OFFSETS:
                 psi = psi_lo + frac * width
                 d = transition.zeta_derivs(profile, psi)
                 pts.append((psi, math.log1p(abs(d.zeta_prime))))
             for i in range(len(pts)):
                 for j in range(i + 1, len(pts)):
                     dpsi = abs(pts[j][0] - pts[i][0])
-                    quot = abs(pts[j][1] - pts[i][1]) / dpsi**holder
+                    quot = abs(pts[j][1] - pts[i][1]) / dpsi**_HOLDER
                     band_max = max(band_max, quot)
         rows.append({"n": int(n), "m_n": band_max})
     fit = fit_exponent([row["n"] for row in rows], [row["m_n"] for row in rows])

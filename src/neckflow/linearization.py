@@ -5,17 +5,15 @@ The scalar linearized equations
     j'' + K(t) j = 0          (Jacobi)
     u'  + u^2 + K(t) = 0      (Riccati, u = j'/j)
 
-are solved along a host geodesic.  integrate_jacobi and integrate_riccati
-take an integrated host path (dynamics.integrate) as fixed data and read
-K(t) off its dense output.  unstable_riccati flows its own host instead:
-since K <= 0 on the neck, Riccati solutions started at u >= 0 stay
-nonnegative, and the unstable curvature k+ of a vector is recovered by
-relaxing two seeds over a finite backward window and reading off their
-common value at the endpoint.  The seeds ride in one DOP853 run together
-with the footpoint they need, and the host's return to the input vector
-is the runtime error estimate.  The residual seed separation is reported
-as an explicit confidence diagnostic, because the contraction that
-forgets the seed is weak near the degenerate parallel.
+are solved along a host geodesic, and every one rides with its host:
+_co_flow flows the footpoint (s, psi) in the same DOP853 run and reads K
+there.  Since K <= 0 on the neck, Riccati solutions started at u >= 0 stay
+nonnegative, and unstable_riccati recovers the unstable curvature k+ of a
+vector by relaxing two seeds over a finite backward window and reading off
+their common value at the endpoint.  The host's Clairaut drift, or its
+return to the input vector, is the runtime error estimate.  The residual
+seed separation is reported as an explicit confidence diagnostic, because
+the contraction that forgets the seed is weak near the degenerate parallel.
 """
 
 from __future__ import annotations
@@ -30,6 +28,7 @@ from .dynamics import (
     GeodesicPath,
     GeodesicState,
     _check_stall,
+    _clairaut_drift,
     _make_events,
     _make_rhs,
     reverse,
@@ -37,23 +36,60 @@ from .dynamics import (
 from .errors import AccuracyError
 from .surface import SurfaceProfile
 
-_RTOL = 1e-11
-_ATOL = 1e-13
+# integrate_jacobi and integrate_riccati: tolerances, and the Clairaut drift
+# their co-flowed host may show
+_RTOL, _ATOL, _DRIFT_TOL = 1e-11, 1e-13, 1e-8
 _BLOWUP = 1e8
+# unstable_riccati's forward leg; the backward leg runs at a hundredth,
+# 1e-13 at the tightest, above scipy's rtol floor of 100 eps
+_RELAX_RTOL = 1e-10
+_RELAX_ATOL = 1e-12
+_SEEDS = (0.0, 1.0)  # nonnegative, so the comparison principle keeps u >= 0
 # the relaxed host must land back on the input vector to this (s and psi)
 _CLOSURE_TOL = 1e-9
-# scipy clamps a smaller rtol to this, with a UserWarning
-_RTOL_FLOOR = 100.0 * np.finfo(float).eps
+_MAX_UNCONFIDENT = 0.2  # share of low-confidence points horocycle_scan accepts
 
 
-def _host_curvature(profile: SurfaceProfile, path: GeodesicPath):
-    sol = path._sol
+def _co_flow(profile, start, t_span, linear, y0, rtol, atol, events=None, dense=True):
+    """One DOP853 run of (s, psi, *y0) from the footpoint start = (s, psi);
+    linear(k, y) is the derivative of y[2:] given the state y and k = K(s)."""
+    host = _make_rhs(profile)
     curvature_unchecked = profile.curvature_unchecked
 
-    def K(t):
-        return curvature_unchecked(float(sol(t)[0]))
+    def rhs(t, y):
+        # theta is left out: no right-hand side reads it
+        s, psi = y[0], y[1]
+        ds, _, dpsi = host(t, (s, 0.0, psi))
+        return (ds, dpsi, *linear(curvature_unchecked(s), y))
 
-    return K
+    sol = solve_ivp(
+        rhs,
+        t_span,
+        [*start, *y0],
+        method="DOP853",
+        dense_output=dense,
+        events=events,
+        rtol=rtol,
+        atol=atol,
+    )
+    _check_stall(sol)
+    return sol
+
+
+def _along(profile: SurfaceProfile, path: GeodesicPath, linear, y0, events=None):
+    """_co_flow over path's span from its first state; AccuracyError if the
+    host's Clairaut drift from path.c0 over the accepted steps exceeds _DRIFT_TOL."""
+    s0, _, psi0 = path.states[:, 0]
+    t_span = (float(path.t[0]), path.t_end)
+    sol = _co_flow(profile, (s0, psi0), t_span, linear, y0, _RTOL, _ATOL, events)
+    drift = float(np.max(np.abs(_clairaut_drift(profile, sol.y[0], sol.y[1], path.c0))))
+    if drift > _DRIFT_TOL:
+        raise AccuracyError(
+            f"co-flowed host drifts {drift:.3e} in its Clairaut constant "
+            f"(tolerance {_DRIFT_TOL:.0e})",
+            achieved=drift,
+        )
+    return sol
 
 
 @dataclass
@@ -67,33 +103,14 @@ class JacobiPath:
 
     def at(self, t: float) -> tuple[float, float]:
         y = self._sol(t)
-        return float(y[0]), float(y[1])
+        return float(y[2]), float(y[3])
 
 
 def integrate_jacobi(
-    profile: SurfaceProfile,
-    path: GeodesicPath,
-    j0: float,
-    jp0: float,
-    rtol: float = _RTOL,
-    atol: float = _ATOL,
+    profile: SurfaceProfile, path: GeodesicPath, j0: float, jp0: float
 ) -> JacobiPath:
-    K = _host_curvature(profile, path)
-
-    def rhs(t, y):
-        return (y[1], -K(t) * y[0])
-
-    sol = solve_ivp(
-        rhs,
-        (float(path.t[0]), path.t_end),
-        [j0, jp0],
-        method="DOP853",
-        dense_output=True,
-        rtol=rtol,
-        atol=atol,
-    )
-    _check_stall(sol)
-    return JacobiPath(t=sol.t, j=sol.y[0], jp=sol.y[1], _sol=sol.sol)
+    sol = _along(profile, path, lambda k, y: (y[3], -k * y[2]), (j0, jp0))
+    return JacobiPath(t=sol.t, j=sol.y[2], jp=sol.y[3], _sol=sol.sol)
 
 
 @dataclass
@@ -114,7 +131,7 @@ class RiccatiPath:
 
     def at(self, t: float) -> tuple[float, float]:
         y = self._sol(t)
-        return float(y[0]), float(y[1])
+        return float(y[2]), float(y[3])
 
 
 def riccati_flat(u0: float, t) -> np.ndarray:
@@ -123,44 +140,23 @@ def riccati_flat(u0: float, t) -> np.ndarray:
     return u0 / (1.0 + u0 * t)
 
 
-def integrate_riccati(
-    profile: SurfaceProfile,
-    path: GeodesicPath,
-    u0: float,
-    rtol: float = _RTOL,
-    atol: float = _ATOL,
-) -> RiccatiPath:
+def integrate_riccati(profile: SurfaceProfile, path: GeodesicPath, u0: float) -> RiccatiPath:
     if not math.isfinite(u0):
         raise ValueError("Riccati initial value must be finite")
-    K = _host_curvature(profile, path)
-
-    def rhs(t, y):
-        u = y[0]
-        return (-(u * u) - K(t), u)
 
     def escape(t, y):
-        return y[0] + _BLOWUP
+        return y[2] + _BLOWUP
 
     escape.terminal = True
     escape.direction = -1.0
 
-    sol = solve_ivp(
-        rhs,
-        (float(path.t[0]), path.t_end),
-        [u0, 0.0],
-        method="DOP853",
-        dense_output=True,
-        events=[escape],
-        rtol=rtol,
-        atol=atol,
-    )
-    _check_stall(sol)
+    sol = _along(profile, path, lambda k, y: (-(y[2] * y[2]) - k, y[2]), (u0, 0.0), [escape])
     blow_up = None
     if sol.t_events[0].size:
         # past u = -B the solution reaches -inf within 1/B; bracket it
         t_hit = float(sol.t_events[0][0])
         blow_up = (t_hit, t_hit + 2.0 / _BLOWUP)
-    return RiccatiPath(t=sol.t, u=sol.y[0], int_u=sol.y[1], blow_up=blow_up, _sol=sol.sol)
+    return RiccatiPath(t=sol.t, u=sol.y[2], int_u=sol.y[3], blow_up=blow_up, _sol=sol.sol)
 
 
 def sasaki_growth(rpath: RiccatiPath, delta: float, t: float | None = None) -> float:
@@ -191,39 +187,30 @@ class UnstableEstimate:
     confident: bool
 
 
-def _relax(profile, state, relax_time, seeds, rtol, atol):
+def _relax(profile, state, relax_time, rtol, atol):
     """Both legs of unstable_riccati: (window, truncated, seed ends, closure)."""
-    host = _make_rhs(profile)
     back = solve_ivp(
-        host,
+        _make_rhs(profile),
         (0.0, relax_time),
         reverse(state).as_array(),
         method="DOP853",
         events=_make_events(profile)[:2],
-        rtol=max(rtol / 100.0, _RTOL_FLOOR),
+        rtol=rtol / 100.0,
         atol=atol / 100.0,
     )
     _check_stall(back)
     window = float(back.t[-1])
-    curvature_unchecked = profile.curvature_unchecked
-
-    def rhs(tau, y):
-        # theta is left out: no right-hand side reads it
-        s, psi, u0, u1 = y
-        ds, _, dpsi = host(tau, (s, 0.0, psi))
-        k = curvature_unchecked(s)
-        return (ds, dpsi, -(u0 * u0) - k, -(u1 * u1) - k)
-
     s_start, _, psi_start = back.y[:, -1]
-    fwd = solve_ivp(
-        rhs,
+    fwd = _co_flow(
+        profile,
+        (s_start, psi_start + math.pi),
         (0.0, window),
-        [s_start, psi_start + math.pi, seeds[0], seeds[1]],
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
+        lambda k, y: (-(y[2] * y[2]) - k, -(y[3] * y[3]) - k),
+        _SEEDS,
+        rtol,
+        atol,
+        dense=False,
     )
-    _check_stall(fwd)
     s_end, psi_end, end0, end1 = (float(v) for v in fwd.y[:, -1])
     closure = max(
         abs(s_end - state.s), abs(math.remainder(psi_end - state.psi, 2.0 * math.pi))
@@ -235,36 +222,29 @@ def unstable_riccati(
     profile: SurfaceProfile,
     state: GeodesicState,
     relax_time: float = 20.0,
-    seeds: tuple[float, float] = (0.0, 1.0),
     spread_tol: float = 0.25,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> UnstableEstimate:
     """Estimate k+(v) by relaxing the Riccati equation over a past window.
 
     Two DOP853 runs, no dense output.  The backward leg flows the reversed
     vector (whose orbit is the backward orbit of v) to the neck boundary or
-    to relax_time, whichever comes first, at rtol/100 (but no lower than
-    scipy's floor of 100 eps) and atol/100: the forward leg amplifies its
-    endpoint error along the unstable direction.
-    The forward leg reverses that endpoint and integrates the state
-    (s, psi, u_seed0, u_seed1) over the window at rtol and atol, so each
-    seed reads K at the footpoint flowed alongside it.  The seeds' mean at
-    the endpoint is the estimate and their separation the confidence
-    spread.  Seeds must be nonnegative so the comparison principle keeps
-    u >= 0 throughout.
+    to relax_time, whichever comes first, at a hundredth of _RELAX_RTOL and
+    _RELAX_ATOL: the forward leg amplifies its endpoint error along the
+    unstable direction.
+    The forward leg reverses that endpoint and co-flows the two _SEEDS
+    with it over the window at _RELAX_RTOL and _RELAX_ATOL, so each seed
+    reads K at the footpoint flowed alongside it.  The seeds' mean at the
+    endpoint is the estimate and their separation the confidence spread.
 
     The host must land back on v.  If its closure error in s or psi
     exceeds _CLOSURE_TOL, both legs are repeated once at a tenth of their
     tolerances, and a run that still misses raises AccuracyError.  Solver
     breakdown raises IntegrationStallError.
     """
-    if min(seeds) < 0.0:
-        raise ValueError("seeds must be nonnegative")
     profile._check_domain(state.s)
     for scale in (1.0, 0.1):
         window, truncated, (end0, end1), closure = _relax(
-            profile, state, relax_time, seeds, rtol * scale, atol * scale
+            profile, state, relax_time, _RELAX_RTOL * scale, _RELAX_ATOL * scale
         )
         if closure <= _CLOSURE_TOL:
             break
@@ -287,13 +267,13 @@ def unstable_riccati(
     )
 
 
-def k_plus(profile: SurfaceProfile, state: GeodesicState, **kw) -> UnstableEstimate:
-    return unstable_riccati(profile, state, **kw)
+def k_plus(profile: SurfaceProfile, state: GeodesicState) -> UnstableEstimate:
+    return unstable_riccati(profile, state)
 
 
-def k_minus(profile: SurfaceProfile, state: GeodesicState, **kw) -> UnstableEstimate:
+def k_minus(profile: SurfaceProfile, state: GeodesicState) -> UnstableEstimate:
     """Stable-horocycle curvature magnitude, via time reversal of k+."""
-    return unstable_riccati(profile, reverse(state), **kw)
+    return unstable_riccati(profile, reverse(state))
 
 
 @dataclass
@@ -314,14 +294,13 @@ def horocycle_scan(
     psi_values=None,
     relax_time: float = 20.0,
     spread_tol: float = 0.25,
-    max_unconfident: float = 0.2,
 ) -> ScanReport:
     """Scan k+/k- over a grid near the degenerate parallel.
 
     Reports C3 = min k+ / max(|s|^((r-2)/2), |psi|^((r-2)/r)), C4 = min
     k+ / sqrt(-K), and C7 = max k-/k+, all over confident grid points (psi
     is measured as angular distance to the parallel directions {0, pi}).
-    Aborts when more than max_unconfident of the grid is low-confidence,
+    Aborts when more than _MAX_UNCONFIDENT of the grid is low-confidence,
     since the constants would then reflect seed memory rather than geometry.
     """
     if s_values is None:
@@ -354,7 +333,7 @@ def horocycle_scan(
             )
     n_bad = sum(1 for row in rows if not row["confident"])
     frac = n_bad / len(rows)
-    if frac > max_unconfident:
+    if frac > _MAX_UNCONFIDENT:
         raise AccuracyError(
             f"{n_bad}/{len(rows)} grid points low-confidence at "
             f"relax_time={relax_time}; rerun with a longer window "

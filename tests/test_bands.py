@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from neckflow.bands import (
     c_interval,
     width_asymptote,
 )
+from neckflow.surface import SurfaceProfile
 
 
 def test_band_of_interior_points():
@@ -89,6 +91,34 @@ def test_band_boundaries_rejects_out_of_window(prof4, prof_narrow):
     # but with n0 waived a band needing c > a must be rejected
     with pytest.raises(ValueError):
         band_boundaries(prof_narrow, 3, BOUNCING, n0=1)
+
+
+def test_band_midpoint_honours_n0(prof4):
+    for side in bands.SIDES:
+        with pytest.raises(ValueError, match="below the configured floor n0=10"):
+            band_midpoint(prof4, 5, side)
+        assert band_midpoint(prof4, 5, side, n0=5) == band_midpoint(prof4, 5, side, n0=1)
+
+
+@settings(max_examples=60)
+@given(r=st.floats(4.0, 12.0), eps0=st.floats(0.3, 0.95))
+def test_out_of_window_message_names_a_reached_band(r, eps0):
+    prof = SurfaceProfile(r=r, eps0=eps0)
+    with pytest.raises(ValueError, match="outside the entry window") as info:
+        band_midpoint(prof, 1, BOUNCING, n0=1)
+    n = int(re.search(r"reaches is n=(\d+)", str(info.value)).group(1))
+    band_midpoint(prof, n, BOUNCING, n0=1)  # the named band passes the check
+    with pytest.raises(ValueError):
+        band_midpoint(prof, n - 1, BOUNCING, n0=1)
+
+
+def test_narrow_neck_names_band_32():
+    # a = 1 + 2^-10, so band 32's outer edge 1 + 1/32^2 is exactly a
+    with pytest.raises(ValueError, match=r"reaches is n=32$"):
+        band_boundaries(SurfaceProfile(r=10.0, eps0=0.5), 25, BOUNCING)
+    # 1 + 1e-20 rounds to 1: no band is reached at all
+    with pytest.raises(ValueError, match="no band lies in the entry window"):
+        band_midpoint(SurfaceProfile(r=4.0, eps0=1e-5), 10, BOUNCING)
 
 
 def test_width_asymptote_ratio(prof4):

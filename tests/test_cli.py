@@ -133,6 +133,30 @@ def test_accuracy_failure_exit_code(capsys):
     assert "accuracy failure" in err
 
 
+def test_tol_is_a_geodesic_flag(capsys):
+    code, _, err = run(["geodesic", "--psi", "0.9", "--time", "8", "--tol", "1e-17"], capsys)
+    assert code == 1
+    assert "Clairaut drift" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["zeta", "--tol", "1e-8"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["zeta", "--n-min", "5"], "band index 5 is below the configured floor n0=10"),
+        (["zeta", "--r", "10", "--eps0", "0.5"], "shallowest band this profile reaches is n=32"),
+        (["transit", "--band", "5"], "band index 5 is below the configured floor n0=10"),
+    ],
+)
+def test_bands_outside_n0_or_window_are_usage_errors(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_tails_rerun_is_byte_identical(tmp_path, capsys):
     argv = ["tails", "--samples", "60000", "--seed", "5", "--out"]
     a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -145,11 +145,6 @@ def test_unstable_riccati_truncates_at_boundary(prof4):
     assert est.window < 50.0
 
 
-def test_unstable_riccati_rejects_negative_seeds(prof4):
-    with pytest.raises(ValueError):
-        unstable_riccati(prof4, GeodesicState(0.0, 0.0, 0.0), seeds=(-0.1, 1.0))
-
-
 def test_k_minus_is_time_reversed_k_plus(prof4):
     st = GeodesicState(0.2, 0.0, 0.3)
     a = k_minus(prof4, st)
@@ -218,11 +213,22 @@ def test_unstable_riccati_closure_covers_psi(prof4, monkeypatch):
     assert info.value.achieved == pytest.approx(1e-6, rel=1e-3)
 
 
-def test_unstable_riccati_tight_rtol_stays_above_scipy_floor(prof4):
-    # rtol / 100 for the backward leg would fall below DOP853's 100 eps
+def test_unstable_riccati_tight_rtol_stays_above_scipy_floor(monkeypatch):
+    # the closure-miss retry runs the backward leg at the tightest
+    # tolerance unstable_riccati reaches, rtol 1e-13; scipy clamps anything
+    # below 100 eps (2.2e-14) with a UserWarning, which fails here
+    relax = linearization._relax
+    rtols = []
+
+    def spy(profile, state, relax_time, rtol, atol):
+        rtols.append(rtol)
+        return relax(profile, state, relax_time, rtol, atol)
+
+    monkeypatch.setattr(linearization, "_relax", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est = unstable_riccati(prof4, GeodesicState(0.2, 0.0, 0.3), rtol=1e-13)
+        est = unstable_riccati(SurfaceProfile(6.0, 1.5), GeodesicState(0.525, 0.0, 0.2))
+    assert min(rtols) / 100.0 == pytest.approx(1e-13)
     assert est.value > 0.0
 
 
@@ -233,9 +239,9 @@ def test_unstable_riccati_tightens_once_on_a_closure_miss(monkeypatch):
     relax = linearization._relax
     rtols = []
 
-    def spy(profile, state, relax_time, seeds, rtol, atol):
+    def spy(profile, state, relax_time, rtol, atol):
         rtols.append(rtol)
-        return relax(profile, state, relax_time, seeds, rtol, atol)
+        return relax(profile, state, relax_time, rtol, atol)
 
     monkeypatch.setattr(linearization, "_relax", spy)
     est = unstable_riccati(SurfaceProfile(6.0, 1.5), GeodesicState(0.525, 0.0, 0.2))
@@ -283,3 +289,30 @@ def test_riccati_and_jacobi_stall_raise(prof4, monkeypatch):
         with pytest.raises(IntegrationStallError) as info:
             run()
         assert info.value.t_reached == pytest.approx(2.5)
+
+
+class _NoDenseOutput:
+    def __call__(self, t):
+        raise AssertionError("the host path's dense output was read")
+
+
+def test_riccati_and_jacobi_flow_their_own_host(prof4):
+    # only the first state and the span of the host path are read
+    path = neck_transit(prof4, GeodesicState(-1.0, 0.0, 0.62)).path
+    rp = integrate_riccati(prof4, path, 0.3)
+    jp = integrate_jacobi(prof4, path, 1.0, 0.3)
+    path._sol = _NoDenseOutput()
+    assert integrate_riccati(prof4, path, 0.3).at(path.t_end) == rp.at(path.t_end)
+    assert integrate_jacobi(prof4, path, 1.0, 0.3).at(path.t_end) == jp.at(path.t_end)
+
+
+def test_riccati_and_jacobi_check_host_drift(prof4, monkeypatch):
+    path = neck_transit(prof4, GeodesicState(-1.0, 0.0, 0.62)).path
+    monkeypatch.setattr(linearization, "_DRIFT_TOL", 0.0)
+    for run in (
+        lambda: integrate_riccati(prof4, path, 0.3),
+        lambda: integrate_jacobi(prof4, path, 1.0, 0.3),
+    ):
+        with pytest.raises(AccuracyError) as info:
+            run()
+        assert 0.0 < info.value.achieved <= 1e-10
