@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _dop853
+from scipy.optimize import brentq
 
 from .errors import AccuracyError, AsymptoticEntryError, IntegrationStallError, NeckDomainError
 from .surface import SurfaceProfile, TrajectoryClass, classify
@@ -59,18 +61,22 @@ def vector_field(profile: SurfaceProfile, state: GeodesicState) -> tuple[float, 
     return ds, dth, dps
 
 
-def _make_rhs(profile: SurfaceProfile):
-    """Scalar-math RHS closure; tolerates small overshoot past |s|=eps0."""
+def _make_rhs(profile: SurfaceProfile, xp=math):
+    """RHS closure over the namespace xp: math for a float state, numpy for
+    rows of states, one array per component.  Tolerates small overshoot
+    past |s|=eps0."""
     r = profile.r
+    sin, cos, sqrt = xp.sin, xp.cos, xp.sqrt
 
     def rhs(t, y):
         s, _, psi = y
         ar = abs(s) ** r
         xi = 1.0 + ar
-        xp = 0.0 if s == 0.0 else math.copysign(r * ar / abs(s), s)
-        g = math.sqrt(1.0 + xp * xp)
-        cp = math.cos(psi)
-        return (math.sin(psi) / g, cp / xi, xp * cp / (xi * g))
+        # xi'(s) = r |s|^r / s; at s = 0 the quotient reads 0 / 1
+        d1 = r * ar / (s + (s == 0.0))
+        g = sqrt(1.0 + d1 * d1)
+        cp = cos(psi)
+        return (sin(psi) / g, cp / xi, d1 * cp / (xi * g))
 
     return rhs
 
@@ -144,6 +150,204 @@ def _check_stall(sol) -> None:
         raise IntegrationStallError(
             f"solver stalled: {sol.message}", t_reached=float(sol.t[-1])
         )
+
+
+# _lockstep's DOP853: the Hairer-Norsett-Wanner 8(5,3) tableau as scipy ships
+# it, each stage kept as the (index, coefficient) pairs of its nonzero entries,
+# and the step-size controller constants of scipy's RungeKutta
+def _terms(coefficients):
+    return tuple((j, float(a)) for j, a in enumerate(coefficients) if a != 0.0)
+
+
+_N_STAGES = _dop853.N_STAGES
+_STAGES = tuple(
+    (float(_dop853.C[i]), _terms(_dop853.A[i, :i])) for i in range(1, _N_STAGES)
+)
+_DENSE_STAGES = tuple(
+    (float(_dop853.C[i]), _terms(_dop853.A[i, :i]))
+    for i in range(_N_STAGES + 1, _dop853.N_STAGES_EXTENDED)
+)
+_B, _E3, _E5 = _terms(_dop853.B), _terms(_dop853.E3), _terms(_dop853.E5)
+_D = tuple(_terms(row) for row in _dop853.D)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / 8.0  # the error estimator has order 7
+_ROOT_TOL = 4.0 * np.finfo(float).eps  # solve_ivp's event tolerance
+
+
+def _combine(K, terms):
+    """sum_j a_j K[j], accumulated elementwise in a fixed order, so that no
+    row's bits depend on the rows beside it."""
+    (j, a), *rest = terms
+    out = a * K[j]
+    for j, a in rest:
+        out += a * K[j]
+    return out
+
+
+def _sum_sq(x):
+    """Per-row sum of squares over the components of x (dim, rows)."""
+    out = x[0] * x[0]
+    for xi in x[1:]:
+        out += xi * xi
+    return out
+
+
+def _lockstep(fun, y0, t_bound, rtol, atol, events=()):
+    """DOP853 over rows of y' = fun(t, y) from t = 0, all rows in lockstep.
+
+    y0 is (rows, dim); t_bound (> 0, finite), rtol and atol give one value
+    per row or one for all.  fun(t, y) and every event g(t, y) receive t with
+    one time per row and y as (dim, rows), so y[0] is the rows' first
+    component; fun returns one array per component.  Each row runs scipy's
+    DOP853 controller on its own -- initial step, error norm, SAFETY and
+    factor limits, rejection flag -- and a finished row drops out.  Events
+    are terminal: the three extra dense-output stages are computed only for
+    rows whose event function changed sign in the accepted step, and each
+    root is found on that row's interpolant as solve_ivp finds it.
+
+    Returns (t_end, y_end, hit): y_end is (rows, dim) and hit marks the rows
+    an event ended.  A row whose step falls below 10 ulps of its t raises
+    IntegrationStallError naming the row.
+    """
+    y = np.array(y0, dtype=float).T.copy()
+    dim, rows = y.shape
+    t_bound, rtol, atol = (
+        np.broadcast_to(np.asarray(v, dtype=float), (rows,)).copy()
+        for v in (t_bound, rtol, atol)
+    )
+    t_end, y_end, hit = np.zeros(rows), y.copy(), np.zeros(rows, dtype=bool)
+    live = np.flatnonzero(t_bound > 0.0)  # a zero span ends where it starts
+    y = y[:, live]
+    t, t_bound, rtol, atol = np.zeros(live.size), t_bound[live], rtol[live], atol[live]
+
+    def field(t, y):
+        return np.array(fun(t, y))
+
+    # select_initial_step, row by row
+    f = field(t, y)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = np.sqrt(_sum_sq(y / scale) / dim), np.sqrt(_sum_sq(f / scale) / dim)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.minimum(h0, t_bound)
+        d2 = np.sqrt(_sum_sq((field(t + h0, y + h0 * f) - f) / scale) / dim) / h0
+        h1 = np.where(
+            (d1 <= 1e-15) & (d2 <= 1e-15),
+            np.maximum(1e-6, h0 * 1e-3),
+            (0.01 / np.maximum(d1, d2)) ** (1.0 / 8.0),
+        )
+    h_abs = np.minimum(np.minimum(100.0 * h0, h1), t_bound)
+    rejected = np.zeros(live.size, dtype=bool)
+    g = [event(t, y) for event in events]
+
+    while live.size:
+        min_step = 10.0 * (np.nextafter(t, np.inf) - t)
+        # a fresh step starts at least at min_step; a rejected one may not go below it
+        h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
+        stalled = np.flatnonzero(h_abs < min_step)
+        if stalled.size:
+            i = stalled[0]
+            raise IntegrationStallError(
+                f"solver stalled in row {live[i]}: step size below 10 ulps of t={t[i]!r}",
+                t_reached=float(t[i]),
+            )
+        t_new = np.minimum(t + h_abs, t_bound)
+        h = t_new - t
+        K = [f]
+        for c, terms in _STAGES:
+            K.append(field(t + c * h, y + _combine(K, terms) * h))
+        y_new = y + h * _combine(K, _B)
+        K.append(field(t_new, y_new))
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        err5 = _sum_sq(_combine(K, _E5) / scale)
+        err3 = _sum_sq(_combine(K, _E3) / scale)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            norm = np.where(
+                (err5 == 0.0) & (err3 == 0.0),
+                0.0,
+                h * err5 / np.sqrt((err5 + 0.01 * err3) * dim),
+            )
+            grow = _SAFETY * norm**_ERROR_EXPONENT
+        accept = norm < 1.0  # False for a NaN norm, which shrinks like any rejection
+        factor = np.where(
+            accept, np.minimum(_MAX_FACTOR, grow), np.fmax(_MIN_FACTOR, grow)
+        )
+        factor = np.where(accept & rejected, np.minimum(1.0, factor), factor)
+        h_abs = h * factor
+        rejected = ~accept
+        if not accept.any():
+            continue
+
+        t_old, y_old = t, y
+        t = np.where(accept, t_new, t)
+        y = np.where(accept, y_new, y)
+        f = np.where(accept, K[-1], f)
+        done = accept & (t >= t_bound)
+        if events:
+            g_new = [event(t, y) for event in events]
+            crossed = [
+                accept
+                & (
+                    ((g0 <= 0.0) & (g1 >= 0.0) & (event.direction >= 0.0))
+                    | ((g0 >= 0.0) & (g1 <= 0.0) & (event.direction <= 0.0))
+                )
+                for event, g0, g1 in zip(events, g, g_new)
+            ]
+            g = g_new
+            sub = np.flatnonzero(np.any(crossed, axis=0))
+            if sub.size:
+                roots = _event_roots(
+                    field, events, [c[sub] for c in crossed], [k[:, sub] for k in K],
+                    t_old[sub], t[sub], y_old[:, sub], y[:, sub],
+                )
+                # these rows end at their roots (t and y are fresh arrays)
+                for i, (root, y_root) in zip(sub, roots):
+                    t[i], y[:, i] = root, y_root
+                done[sub] = True
+                hit[live[sub]] = True
+        if done.any():
+            t_end[live[done]], y_end[:, live[done]] = t[done], y[:, done]
+            keep = ~done
+            live, t, y, f = live[keep], t[keep], y[:, keep], f[:, keep]
+            t_bound, rtol, atol = t_bound[keep], rtol[keep], atol[keep]
+            h_abs, rejected = h_abs[keep], rejected[keep]
+            g = [gi[keep] for gi in g]
+    return t_end, y_end.T, hit
+
+
+def _event_roots(field, events, crossed, K, t_old, t_new, y_old, y_new):
+    """(root, state) of the earliest crossing per row, on the row's DOP853
+    interpolant, with the dense-output stages computed for these rows only."""
+    h = t_new - t_old
+    for c, terms in _DENSE_STAGES:
+        K.append(field(t_old + c * h, y_old + _combine(K, terms) * h))
+    dy = y_new - y_old
+    F = [dy, h * K[0] - dy, 2.0 * dy - h * (K[_N_STAGES] + K[0])]
+    F += [h * _combine(K, terms) for terms in _D]
+    out = []
+    for i in range(h.size):
+        # the row's interpolant in float arithmetic, the same operations as
+        # scipy's Dop853DenseOutput
+        Fi = [Fk[:, i].tolist() for Fk in reversed(F)]
+        t0, t1, hi, y0 = float(t_old[i]), float(t_new[i]), float(h[i]), y_old[:, i].tolist()
+
+        def state(t):
+            x = (t - t0) / hi
+            y = []
+            for c, yc in enumerate(y0):
+                v = 0.0
+                for k, Fk in enumerate(Fi):
+                    v = (v + Fk[c]) * (x if k % 2 == 0 else 1.0 - x)
+                y.append(v + yc)
+            return y
+
+        root = min(
+            brentq(lambda t: event(t, state(t)), t0, t1, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+            for event, c in zip(events, crossed)
+            if c[i]
+        )
+        out.append((root, state(root)))
+    return out
 
 
 def _clairaut_drift(profile: SurfaceProfile, s, psi, c0: float):

@@ -5,17 +5,25 @@ The scalar linearized equations
     j'' + K(t) j = 0          (Jacobi)
     u'  + u^2 + K(t) = 0      (Riccati, u = j'/j)
 
-are solved along a host geodesic, and every one rides with its host:
-_co_flow flows the footpoint (s, psi) in the same DOP853 run and reads K
-there.  Since K <= 0 on the neck, Riccati solutions started at u >= 0 stay
+are solved along a host geodesic, and every one rides with its host: the
+footpoint (s, psi) is flowed in the same DOP853 run and K is read there.
+integrate_jacobi and integrate_riccati do this with solve_ivp (_co_flow),
+whose dense output their paths keep; their error gauge is the co-flowed
+host's Clairaut drift.
+
+Since K <= 0 on the neck, Riccati solutions started at u >= 0 stay
 nonnegative, and unstable_riccati recovers the unstable curvature k+ of a
 vector by relaxing two seeds over a finite backward window and reading off
-their common value at the endpoint.  The host's Clairaut drift, or its
-return to the input vector, is the runtime error estimate.  The residual
-seed separation is reported as an explicit confidence diagnostic, because
-the contraction that forgets the seed is weak near the degenerate parallel.
+their common value at the endpoint.  horocycle_scan relaxes its whole grid,
+k+ and k- of every point at two tolerance levels, in two lockstep batches of
+dynamics._lockstep (one per leg); unstable_riccati is the one-row case of the
+same code, so a vector's numbers do not depend on the batch it rides in.
+Each vector carries two runtime error estimates: the host's return to the
+input vector, and the distance between its seeds at the two levels.  The
+residual seed separation is reported as an explicit confidence diagnostic,
+because the contraction that forgets the seed is weak near the degenerate
+parallel.
 """
-
 from __future__ import annotations
 
 import math
@@ -29,6 +37,7 @@ from .dynamics import (
     GeodesicState,
     _check_stall,
     _clairaut_drift,
+    _lockstep,
     _make_events,
     _make_rhs,
     reverse,
@@ -40,20 +49,27 @@ from .surface import SurfaceProfile
 # their co-flowed host may show
 _RTOL, _ATOL, _DRIFT_TOL = 1e-11, 1e-13, 1e-8
 _BLOWUP = 1e8
-# unstable_riccati's forward leg; the backward leg runs at a hundredth,
-# 1e-13 at the tightest, above scipy's rtol floor of 100 eps
+# unstable_riccati's forward-leg tolerances at scale 1 (see _LEVELS); the
+# backward leg runs at a hundredth, its rtol no lower than scipy's floor of
+# 100 eps
 _RELAX_RTOL = 1e-10
 _RELAX_ATOL = 1e-12
+_RTOL_FLOOR = 100.0 * np.finfo(float).eps
+# tolerance scales: every vector runs at the first two in one batch, and a
+# vector that misses a check is redone at the third
+_LEVELS = (1.0, 0.1, 0.01)
 _SEEDS = (0.0, 1.0)  # nonnegative, so the comparison principle keeps u >= 0
-# the relaxed host must land back on the input vector to this (s and psi)
+# the relaxed host must land back on the input vector to this (s and psi),
+# and the seeds' estimated error must stay below _SEED_TOL
 _CLOSURE_TOL = 1e-9
+_SEED_TOL = 1e-9
 _MAX_UNCONFIDENT = 0.2  # share of low-confidence points horocycle_scan accepts
 
 
-def _co_flow(profile, start, t_span, linear, y0, rtol, atol, events=None, dense=True):
-    """One DOP853 run of (s, psi, *y0) from the footpoint start = (s, psi);
+def _co_rhs(profile, linear, xp=math):
+    """Derivative of (s, psi, *y) over the namespace xp (see _make_rhs);
     linear(k, y) is the derivative of y[2:] given the state y and k = K(s)."""
-    host = _make_rhs(profile)
+    host = _make_rhs(profile, xp)
     curvature_unchecked = profile.curvature_unchecked
 
     def rhs(t, y):
@@ -62,12 +78,18 @@ def _co_flow(profile, start, t_span, linear, y0, rtol, atol, events=None, dense=
         ds, _, dpsi = host(t, (s, 0.0, psi))
         return (ds, dpsi, *linear(curvature_unchecked(s), y))
 
+    return rhs
+
+
+def _co_flow(profile, start, t_span, linear, y0, rtol, atol, events=None):
+    """One DOP853 run of (s, psi, *y0) from the footpoint start = (s, psi),
+    with dense output."""
     sol = solve_ivp(
-        rhs,
+        _co_rhs(profile, linear),
         t_span,
         [*start, *y0],
         method="DOP853",
-        dense_output=dense,
+        dense_output=True,
         events=events,
         rtol=rtol,
         atol=atol,
@@ -182,40 +204,91 @@ class UnstableEstimate:
     value: float
     spread: float
     seed_values: tuple[float, float]
+    seed_error: float  # |coarse - fine| seeds, the estimate of their error
     window: float  # backward window actually used
     truncated: bool  # True if the orbit left the neck before relax_time
     confident: bool
 
 
-def _relax(profile, state, relax_time, rtol, atol):
-    """Both legs of unstable_riccati: (window, truncated, seed ends, closure)."""
-    back = solve_ivp(
-        _make_rhs(profile),
-        (0.0, relax_time),
-        reverse(state).as_array(),
-        method="DOP853",
-        events=_make_events(profile)[:2],
-        rtol=rtol / 100.0,
-        atol=atol / 100.0,
+def _seed_pair(k, y):
+    return (-(y[2] * y[2]) - k, -(y[3] * y[3]) - k)
+
+
+def _relax(profile, states, relax_time, scale):
+    """Both legs of the relaxation for every state at once, row i at scale[i]
+    times _RELAX_RTOL and _RELAX_ATOL: (window, truncated, seeds, closure)."""
+    rtol, atol = _RELAX_RTOL * scale, _RELAX_ATOL * scale
+    window, back, truncated = _lockstep(
+        _make_rhs(profile, np),
+        [reverse(st).as_array() for st in states],
+        relax_time,
+        np.maximum(rtol / 100.0, _RTOL_FLOOR),
+        atol / 100.0,
+        _make_events(profile)[:2],
     )
-    _check_stall(back)
-    window = float(back.t[-1])
-    s_start, _, psi_start = back.y[:, -1]
-    fwd = _co_flow(
-        profile,
-        (s_start, psi_start + math.pi),
-        (0.0, window),
-        lambda k, y: (-(y[2] * y[2]) - k, -(y[3] * y[3]) - k),
-        _SEEDS,
-        rtol,
-        atol,
-        dense=False,
+    start = np.column_stack(
+        [back[:, 0], back[:, 2] + math.pi, np.full((len(states), 2), _SEEDS)]
     )
-    s_end, psi_end, end0, end1 = (float(v) for v in fwd.y[:, -1])
-    closure = max(
-        abs(s_end - state.s), abs(math.remainder(psi_end - state.psi, 2.0 * math.pi))
+    _, end, _ = _lockstep(_co_rhs(profile, _seed_pair, np), start, window, rtol, atol)
+    closure = np.array(
+        [
+            max(abs(s - st.s), abs(math.remainder(psi - st.psi, 2.0 * math.pi)))
+            for st, s, psi in zip(states, end[:, 0], end[:, 1])
+        ]
     )
-    return window, back.status == 1, (end0, end1), closure
+    return window, truncated, end[:, 2:], closure
+
+
+def _unstable_batch(profile, states, relax_time, spread_tol):
+    """unstable_riccati for a list of states, relaxed in lockstep batches."""
+    if not (math.isfinite(relax_time) and relax_time > 0.0):
+        raise ValueError(f"relax_time must be finite and positive, got {relax_time}")
+    if not (math.isfinite(spread_tol) and spread_tol >= 0.0):
+        raise ValueError(f"spread_tol must be finite and nonnegative, got {spread_tol}")
+    for st in states:
+        profile._check_domain(st.s)
+    n = len(states)
+    window, truncated, seeds, closure = _relax(
+        profile, states * 2, relax_time, np.repeat(_LEVELS[:2], n)
+    )
+    coarse = seeds[:n]
+    window, truncated, seeds, closure = window[n:], truncated[n:], seeds[n:], closure[n:]
+    error = np.max(np.abs(seeds - coarse), axis=1)
+    redo = np.flatnonzero((closure > _CLOSURE_TOL) | (error > _SEED_TOL))
+    if redo.size:
+        finer = _relax(profile, [states[i] for i in redo], relax_time, _LEVELS[2])
+        error[redo] = np.max(np.abs(finer[2] - seeds[redo]), axis=1)
+        window[redo], truncated[redo], seeds[redo], closure[redo] = finer
+    for i in redo:
+        where = f"at s={states[i].s}, psi={states[i].psi}, even after tightening"
+        if closure[i] > _CLOSURE_TOL:
+            raise AccuracyError(
+                f"relaxed host misses the input vector by {closure[i]:.3e} "
+                f"(tolerance {_CLOSURE_TOL:.0e}) {where}",
+                achieved=float(closure[i]),
+            )
+        if error[i] > _SEED_TOL:
+            raise AccuracyError(
+                f"relaxed seeds carry an estimated error of {error[i]:.3e} "
+                f"(tolerance {_SEED_TOL:.0e}) {where}",
+                achieved=float(error[i]),
+            )
+    out = []
+    for i in range(n):
+        end0, end1 = float(seeds[i, 0]), float(seeds[i, 1])
+        spread = abs(end1 - end0)
+        out.append(
+            UnstableEstimate(
+                value=max(0.5 * (end0 + end1), 0.0),
+                spread=spread,
+                seed_values=(end0, end1),
+                seed_error=float(error[i]),
+                window=float(window[i]),
+                truncated=bool(truncated[i]),
+                confident=spread <= spread_tol,
+            )
+        )
+    return out
 
 
 def unstable_riccati(
@@ -226,45 +299,27 @@ def unstable_riccati(
 ) -> UnstableEstimate:
     """Estimate k+(v) by relaxing the Riccati equation over a past window.
 
-    Two DOP853 runs, no dense output.  The backward leg flows the reversed
-    vector (whose orbit is the backward orbit of v) to the neck boundary or
-    to relax_time, whichever comes first, at a hundredth of _RELAX_RTOL and
-    _RELAX_ATOL: the forward leg amplifies its endpoint error along the
-    unstable direction.
-    The forward leg reverses that endpoint and co-flows the two _SEEDS
-    with it over the window at _RELAX_RTOL and _RELAX_ATOL, so each seed
-    reads K at the footpoint flowed alongside it.  The seeds' mean at the
-    endpoint is the estimate and their separation the confidence spread.
+    The one-row case of horocycle_scan's batch, run by dynamics._lockstep
+    with no dense output.  The backward leg flows the reversed vector
+    (whose orbit is the backward orbit of v) to the neck boundary or to
+    relax_time, whichever comes first, at a hundredth of the forward leg's
+    tolerances: the forward leg amplifies its endpoint error along the
+    unstable direction.  The forward leg reverses that endpoint and
+    co-flows the two _SEEDS with it over the window, so each seed reads K
+    at the footpoint flowed alongside it.  The seeds' mean at the endpoint
+    is the estimate and their separation the confidence spread.
 
-    The host must land back on v.  If its closure error in s or psi
-    exceeds _CLOSURE_TOL, both legs are repeated once at a tenth of their
-    tolerances, and a run that still misses raises AccuracyError.  Solver
-    breakdown raises IntegrationStallError.
+    Both legs run at two tolerance levels (_LEVELS) in one batch.  The
+    finer level's seeds are returned, and their distance to the coarser
+    level's is the seed_error estimate.  The host must also land back on
+    v.  If its closure error in s or psi exceeds _CLOSURE_TOL, or the
+    estimate exceeds _SEED_TOL, both legs are redone one level tighter
+    (the estimate then compares the last two levels), and a vector that
+    still misses raises AccuracyError naming it.  relax_time must be
+    finite and positive and spread_tol finite and nonnegative (ValueError).
+    Solver breakdown raises IntegrationStallError.
     """
-    profile._check_domain(state.s)
-    for scale in (1.0, 0.1):
-        window, truncated, (end0, end1), closure = _relax(
-            profile, state, relax_time, _RELAX_RTOL * scale, _RELAX_ATOL * scale
-        )
-        if closure <= _CLOSURE_TOL:
-            break
-    else:
-        raise AccuracyError(
-            f"relaxed host misses the input vector by {closure:.3e} "
-            f"(tolerance {_CLOSURE_TOL:.0e}) at s={state.s}, psi={state.psi}, "
-            "even after tightening",
-            achieved=closure,
-        )
-    spread = abs(end1 - end0)
-    value = max(0.5 * (end0 + end1), 0.0)
-    return UnstableEstimate(
-        value=value,
-        spread=spread,
-        seed_values=(end0, end1),
-        window=window,
-        truncated=truncated,
-        confident=spread <= spread_tol,
-    )
+    return _unstable_batch(profile, [state], relax_time, spread_tol)[0]
 
 
 def k_plus(profile: SurfaceProfile, state: GeodesicState) -> UnstableEstimate:
@@ -302,35 +357,38 @@ def horocycle_scan(
     is measured as angular distance to the parallel directions {0, pi}).
     Aborts when more than _MAX_UNCONFIDENT of the grid is low-confidence,
     since the constants would then reflect seed memory rather than geometry.
+    Every vector of the grid is relaxed as unstable_riccati relaxes it, all
+    in one batch; a grid with no confident point of K < 0 raises ValueError.
     """
     if s_values is None:
         half = np.linspace(0.05, 0.5, 4) * profile.eps0
         s_values = np.concatenate([-half[::-1], half])
     if psi_values is None:
         psi_values = np.linspace(0.05, 0.5, 4)
+    grid = [
+        GeodesicState(s=float(s), theta=0.0, psi=float(psi))
+        for s in np.asarray(s_values, dtype=float)
+        for psi in np.asarray(psi_values, dtype=float)
+    ]
+    if not grid:
+        raise ValueError("the scan grid is empty")
+    # k+ of every grid vector, then k- (k+ of the reversed vectors), in one batch
+    vectors = grid + [reverse(st) for st in grid]
+    estimates = _unstable_batch(profile, vectors, relax_time, spread_tol)
     rows = []
     r = profile.r
-    for s in np.asarray(s_values, dtype=float):
-        for psi in np.asarray(psi_values, dtype=float):
-            st = GeodesicState(s=float(s), theta=0.0, psi=float(psi))
-            plus = unstable_riccati(
-                profile, st, relax_time=relax_time, spread_tol=spread_tol
-            )
-            minus = unstable_riccati(
-                profile, reverse(st), relax_time=relax_time, spread_tol=spread_tol
-            )
-            K = profile.curvature(float(s))
-            rows.append(
-                {
-                    "s": float(s),
-                    "psi": float(psi),
-                    "k_plus": plus.value,
-                    "k_minus": minus.value,
-                    "K": K,
-                    "spread": max(plus.spread, minus.spread),
-                    "confident": plus.confident and minus.confident,
-                }
-            )
+    for st, plus, minus in zip(grid, estimates, estimates[len(grid) :]):
+        rows.append(
+            {
+                "s": st.s,
+                "psi": st.psi,
+                "k_plus": plus.value,
+                "k_minus": minus.value,
+                "K": profile.curvature(st.s),
+                "spread": max(plus.spread, minus.spread),
+                "confident": plus.confident and minus.confident,
+            }
+        )
     n_bad = sum(1 for row in rows if not row["confident"])
     frac = n_bad / len(rows)
     if frac > _MAX_UNCONFIDENT:
@@ -349,7 +407,10 @@ def horocycle_scan(
         )
         for row in good
     )
-    c4 = min(row["k_plus"] / math.sqrt(-row["K"]) for row in good if row["K"] < 0.0)
+    curved = [row for row in good if row["K"] < 0.0]
+    if not curved:
+        raise ValueError("no confident grid point has K < 0, so C4 is undefined")
+    c4 = min(row["k_plus"] / math.sqrt(-row["K"]) for row in curved)
     c7 = max(row["k_minus"] / row["k_plus"] for row in good if row["k_plus"] > 0.0)
     return ScanReport(
         rows=rows, c3=c3, c4=c4, c7=c7, frac_unconfident=frac, relax_time=relax_time

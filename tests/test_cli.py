@@ -133,6 +133,21 @@ def test_accuracy_failure_exit_code(capsys):
     assert "accuracy failure" in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--relax-time", "nan"],
+        ["--relax-time", "-5"],
+        ["--relax-time", "0"],
+        ["--spread-tol", "-1"],
+    ],
+)
+def test_hyperbolicity_bad_relaxation_inputs_are_usage_errors(flags, capsys):
+    code, _, err = run(["hyperbolicity", *flags], capsys)
+    assert code == 2
+    assert "relax_time" in err or "spread_tol" in err
+
+
 def test_tol_is_a_geodesic_flag(capsys):
     code, _, err = run(["geodesic", "--psi", "0.9", "--time", "8", "--tol", "1e-17"], capsys)
     assert code == 1

@@ -4,14 +4,21 @@ import numpy as np
 import pytest
 
 import _oracles as orc
+from neckflow import dynamics
 from neckflow.dynamics import (
     GeodesicState,
+    _lockstep,
     integrate,
     neck_transit,
     reverse,
     vector_field,
 )
-from neckflow.errors import AccuracyError, AsymptoticEntryError, NeckDomainError
+from neckflow.errors import (
+    AccuracyError,
+    AsymptoticEntryError,
+    IntegrationStallError,
+    NeckDomainError,
+)
 from neckflow.surface import TrajectoryClass
 
 
@@ -165,3 +172,32 @@ def test_transit_time_grows_toward_asymptotic(prof4):
         for d in (0.01, 0.001, 0.0001)
     ]
     assert times[0] < times[1] < times[2]
+
+
+def test_dop853_tableau_pinned():
+    # _lockstep reads the tableau from scipy's private dop853_coefficients;
+    # these are values of Hairer's dop853.f and order conditions it must meet
+    tab = dynamics._dop853
+    assert (tab.N_STAGES, tab.N_STAGES_EXTENDED, tab.INTERPOLATOR_POWER) == (12, 16, 7)
+    assert tab.C[1] == pytest.approx(0.526001519587677318785587544488e-01, rel=1e-15)
+    assert tab.B[0] == pytest.approx(5.42937341165687622380535766363e-2, rel=1e-15)
+    n = tab.N_STAGES
+    assert np.allclose(tab.A[:n, :n].sum(axis=1), tab.C[:n], rtol=0.0, atol=1e-14)
+    for k in range(8):  # the quadrature behind the order-8 weights
+        assert tab.B @ tab.C[:n] ** k == pytest.approx(1.0 / (k + 1), rel=1e-13)
+    assert abs(tab.E3.sum()) < 1e-14 and abs(tab.E5.sum()) < 1e-14
+
+
+def test_lockstep_stall_names_the_row():
+    # y = (row mark, x) with x' = 1; the row marked 1 has x' = NaN from
+    # t = 1.5 on, so its steps across 1.5 are rejected until the step size
+    # falls below 10 ulps, while the other rows run on
+    def fun(t, y):
+        return (np.zeros_like(t), np.where((t >= 1.5) & (y[0] == 1.0), np.nan, 1.0))
+
+    with pytest.raises(IntegrationStallError, match="row 1") as info:
+        _lockstep(fun, [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], 3.0, 1e-10, 1e-12)
+    assert info.value.t_reached == pytest.approx(1.5)
+    t_end, y_end, hit = _lockstep(fun, [[0.0, 0.0], [2.0, 0.0]], 3.0, 1e-10, 1e-12)
+    assert t_end.tolist() == [3.0, 3.0] and not hit.any()
+    assert y_end[:, 1] == pytest.approx([3.0, 3.0], rel=1e-14)

@@ -8,7 +8,15 @@ from scipy.integrate import solve_ivp
 
 import _oracles as orc
 from neckflow import linearization
-from neckflow.dynamics import GeodesicState, integrate, neck_transit, reverse
+from neckflow.dynamics import (
+    GeodesicState,
+    _lockstep,
+    _make_events,
+    _make_rhs,
+    integrate,
+    neck_transit,
+    reverse,
+)
 from neckflow.errors import AccuracyError, IntegrationStallError
 from neckflow.linearization import (
     horocycle_scan,
@@ -192,6 +200,118 @@ def test_unstable_riccati_against_rk4_oracle(r, s, psi, relax_time, truncated):
     assert est.seed_values[1] == pytest.approx(ref[1], abs=1e-8)
 
 
+def _relax_by_solve_ivp(profile, state, relax_time, scale):
+    """One vector's two legs as per-vector solve_ivp DOP853 runs, at the
+    tolerances of _lockstep's rows: (window, truncated, seeds, closure)."""
+    rtol = linearization._RELAX_RTOL * scale
+    atol = linearization._RELAX_ATOL * scale
+    back = solve_ivp(
+        _make_rhs(profile),
+        (0.0, relax_time),
+        reverse(state).as_array(),
+        method="DOP853",
+        events=_make_events(profile)[:2],
+        rtol=max(rtol / 100.0, linearization._RTOL_FLOOR),
+        atol=atol / 100.0,
+    )
+    s0, _, psi0 = back.y[:, -1]
+    fwd = solve_ivp(
+        linearization._co_rhs(profile, linearization._seed_pair),
+        (0.0, float(back.t[-1])),
+        [s0, psi0 + math.pi, *linearization._SEEDS],
+        method="DOP853",
+        rtol=rtol,
+        atol=atol,
+    )
+    s1, psi1, *seeds = fwd.y[:, -1]
+    closure = max(abs(s1 - state.s), abs(math.remainder(psi1 - state.psi, 2.0 * math.pi)))
+    return float(back.t[-1]), back.status == 1, np.array(seeds), closure
+
+
+def _unstable_by_solve_ivp(profile, state, relax_time=20.0):
+    """unstable_riccati's levels and redo rule, one vector at a time."""
+    levels = linearization._LEVELS
+    _, _, coarse, _ = _relax_by_solve_ivp(profile, state, relax_time, levels[0])
+    window, truncated, seeds, closure = _relax_by_solve_ivp(profile, state, relax_time, levels[1])
+    error = np.max(np.abs(seeds - coarse))
+    if closure > linearization._CLOSURE_TOL or error > linearization._SEED_TOL:
+        window, truncated, seeds, closure = _relax_by_solve_ivp(
+            profile, state, relax_time, levels[2]
+        )
+    return window, truncated, max(0.5 * (seeds[0] + seeds[1]), 0.0)
+
+
+def _default_grid(profile):
+    half = np.linspace(0.05, 0.5, 4) * profile.eps0
+    return [
+        GeodesicState(float(s), 0.0, float(psi))
+        for s in np.concatenate([-half[::-1], half])
+        for psi in np.linspace(0.05, 0.5, 4)
+    ]
+
+
+@pytest.mark.parametrize("r, eps0", [(4.0, 1.0), (6.0, 1.0), (6.0, 1.5)])
+def test_lockstep_rows_match_solve_ivp_per_vector(r, eps0):
+    # k+ and k- of the default grid, each row against its own solve_ivp runs
+    profile = SurfaceProfile(r, eps0)
+    grid = _default_grid(profile)
+    vectors = grid + [reverse(st) for st in grid]
+    estimates = linearization._unstable_batch(profile, vectors, 20.0, 0.25)
+    n_truncated = 0
+    for st, est in zip(vectors, estimates):
+        window, truncated, value = _unstable_by_solve_ivp(profile, st)
+        assert est.truncated is truncated
+        assert est.value == pytest.approx(value, rel=1e-9)
+        if truncated:  # the window ends at the backward leg's terminal event
+            n_truncated += 1
+            assert est.window == pytest.approx(window, rel=1e-12)
+        else:
+            assert est.window == window == 20.0
+    assert n_truncated > 0
+
+
+def test_lockstep_rows_do_not_depend_on_their_batch():
+    # a grid with truncated rows, untruncated ones and one redone one tighter
+    # (0.525, 0.2); each vector alone, and the grid in reverse order, must
+    # give every row the same bits
+    profile = SurfaceProfile(6.0, 1.5)
+    s_values, psi_values = [-0.525, 0.075, 0.525], [0.05, 0.2]
+    rows = horocycle_scan(profile, s_values, psi_values).rows
+    flipped = horocycle_scan(profile, s_values[::-1], psi_values[::-1]).rows
+    assert rows == flipped[::-1]
+    for row in rows:
+        st = GeodesicState(row["s"], 0.0, row["psi"])
+        plus, minus = unstable_riccati(profile, st), k_minus(profile, st)
+        assert (plus.value, minus.value) == (row["k_plus"], row["k_minus"])
+        assert max(plus.spread, minus.spread) == row["spread"]
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"relax_time": math.nan},
+        {"relax_time": math.inf},
+        {"relax_time": -5.0},
+        {"relax_time": 0.0},
+        {"spread_tol": -1.0},
+        {"spread_tol": math.nan},
+        {"spread_tol": math.inf},
+    ],
+)
+def test_relaxation_rejects_bad_inputs(prof4, kw):
+    with pytest.raises(ValueError, match="relax_time|spread_tol"):
+        unstable_riccati(prof4, GeodesicState(0.2, 0.0, 0.3), **kw)
+    with pytest.raises(ValueError, match="relax_time|spread_tol"):
+        horocycle_scan(prof4, **kw)
+
+
+def test_horocycle_scan_needs_a_curved_point(prof4):
+    with pytest.raises(ValueError, match="K < 0"):
+        horocycle_scan(prof4, s_values=[0.0])
+    with pytest.raises(ValueError, match="empty"):
+        horocycle_scan(prof4, s_values=[])
+
+
 def test_unstable_riccati_closure_check_raises(prof4, monkeypatch):
     monkeypatch.setattr(linearization, "_CLOSURE_TOL", 0.0)
     with pytest.raises(AccuracyError) as info:
@@ -199,57 +319,118 @@ def test_unstable_riccati_closure_check_raises(prof4, monkeypatch):
     assert info.value.achieved > 0.0
 
 
+def _patched_lockstep(monkeypatch, change):
+    """Route linearization's _lockstep calls through change(call, fun, y0,
+    args), call counting from 1, which returns the result to use."""
+    calls = []
+
+    def patched(fun, y0, *args):
+        calls.append(len(calls) + 1)
+        return change(calls[-1], fun, y0, args)
+
+    monkeypatch.setattr(linearization, "_lockstep", patched)
+
+
 def test_unstable_riccati_closure_covers_psi(prof4, monkeypatch):
     # shift only the forward leg's final psi: s closes, psi misses by 1e-6
-    def shifted(fun, t_span, y0, **kw):
-        sol = solve_ivp(fun, t_span, y0, **kw)
-        if len(y0) == 4:  # (s, psi, u_seed0, u_seed1): the forward leg
-            sol.y[1, -1] += 1e-6
-        return sol
+    def shifted(call, fun, y0, args):
+        t_end, y_end, hit = _lockstep(fun, y0, *args)
+        if np.shape(y0)[1] == 4:  # (s, psi, u_seed0, u_seed1): the forward leg
+            y_end[:, 1] += 1e-6
+        return t_end, y_end, hit
 
-    monkeypatch.setattr(linearization, "solve_ivp", shifted)
+    _patched_lockstep(monkeypatch, shifted)
     with pytest.raises(AccuracyError) as info:
         unstable_riccati(prof4, GeodesicState(0.2, 0.0, 0.3))
     assert info.value.achieved == pytest.approx(1e-6, rel=1e-3)
 
 
+def _spy_rtols(monkeypatch):
+    """Record (dim, distinct rtols, loosest first) of every _lockstep batch."""
+    seen = []
+
+    def spy(call, fun, y0, args):
+        rtols = sorted(set(np.atleast_1d(args[1]).tolist()), reverse=True)
+        seen.append((np.shape(y0)[1], rtols))
+        return _lockstep(fun, y0, *args)
+
+    _patched_lockstep(monkeypatch, spy)
+    return seen
+
+
 def test_unstable_riccati_tight_rtol_stays_above_scipy_floor(monkeypatch):
-    # the closure-miss retry runs the backward leg at the tightest
-    # tolerance unstable_riccati reaches, rtol 1e-13; scipy clamps anything
-    # below 100 eps (2.2e-14) with a UserWarning, which fails here
-    relax = linearization._relax
-    rtols = []
-
-    def spy(profile, state, relax_time, rtol, atol):
-        rtols.append(rtol)
-        return relax(profile, state, relax_time, rtol, atol)
-
-    monkeypatch.setattr(linearization, "_relax", spy)
+    # the redo runs the backward leg at the tightest tolerance
+    # unstable_riccati reaches, a hundredth of 1e-12, which is clamped at
+    # scipy's rtol floor of 100 eps (2.2e-14)
+    seen = _spy_rtols(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         est = unstable_riccati(SurfaceProfile(6.0, 1.5), GeodesicState(0.525, 0.0, 0.2))
-    assert min(rtols) / 100.0 == pytest.approx(1e-13)
+    tightest = min(rtols[-1] for _, rtols in seen)
+    assert tightest >= 100.0 * np.finfo(float).eps
+    assert tightest == pytest.approx(100.0 * np.finfo(float).eps)
     assert est.value > 0.0
 
 
 def test_unstable_riccati_tightens_once_on_a_closure_miss(monkeypatch):
-    # a long untruncated window at r=6 where the first run misses by ~2e-9
-    # and its seeds are ~6e-9 off; the run at a tenth of the tolerances
-    # closes to ~2e-10
-    relax = linearization._relax
-    rtols = []
-
-    def spy(profile, state, relax_time, rtol, atol):
-        rtols.append(rtol)
-        return relax(profile, state, relax_time, rtol, atol)
-
-    monkeypatch.setattr(linearization, "_relax", spy)
+    # a long untruncated window at r=6: the run at a tenth of the
+    # tolerances closes to ~1.7e-10, above the patched tolerance, and the
+    # redo at a hundredth closes to ~3e-11
+    monkeypatch.setattr(linearization, "_CLOSURE_TOL", 1e-10)
+    seen = _spy_rtols(monkeypatch)
     est = unstable_riccati(SurfaceProfile(6.0, 1.5), GeodesicState(0.525, 0.0, 0.2))
-    assert rtols == pytest.approx([1e-10, 1e-11])
+    rtols = [r for dim, r in seen if dim == 4]  # the forward legs
+    assert len(rtols) == 2
+    assert rtols[0] == pytest.approx([1e-10, 1e-11])
+    assert rtols[1] == pytest.approx([1e-12])
     assert not est.truncated
     ref = orc.unstable_riccati_reference(6.0, 0.525, 0.2, est.window, steps=4000)
     assert est.seed_values[0] == pytest.approx(ref[0], abs=2e-9)
     assert est.seed_values[1] == pytest.approx(ref[1], abs=2e-9)
+
+
+def test_unstable_riccati_seed_error_is_bounded(monkeypatch):
+    # with the closure tolerance above this vector's first closure (2.0e-9)
+    # the closure passes while those seeds are ~6e-9 off; the estimate
+    # |coarse - fine| must catch that
+    monkeypatch.setattr(linearization, "_CLOSURE_TOL", 3e-9)
+    ref = orc.unstable_riccati_reference(6.0, 0.525, 0.2, 20.0, steps=4000)
+    ref2 = orc.unstable_riccati_reference(6.0, 0.525, 0.2, 20.0, steps=8000)
+    assert np.max(np.abs(ref - ref2)) < 1e-10
+    try:
+        est = unstable_riccati(SurfaceProfile(6.0, 1.5), GeodesicState(0.525, 0.0, 0.2))
+    except AccuracyError:
+        return
+    assert est.window == 20.0
+    assert np.max(np.abs(np.array(est.seed_values) - ref2)) <= 1e-9
+    assert 0.0 < est.seed_error <= linearization._SEED_TOL
+
+
+def test_unstable_riccati_seed_error_ceiling_raises(prof4, monkeypatch):
+    monkeypatch.setattr(linearization, "_SEED_TOL", 0.0)
+    with pytest.raises(AccuracyError, match="s=0.2, psi=0.3") as info:
+        unstable_riccati(prof4, GeodesicState(0.2, 0.0, 0.3))
+    assert info.value.achieved > 0.0
+
+
+@pytest.mark.parametrize("leg", [1, 2])
+def test_unstable_riccati_stall_raises(prof4, monkeypatch, leg):
+    # the leg-th lockstep run breaks down at t = 2: its field turns NaN
+    # there, so every step across t = 2 is rejected until the step size
+    # falls below 10 ulps
+    def stalling(call, fun, y0, args):
+        if call == leg:
+            inner = fun
+
+            def fun(t, y):
+                return [np.where(t >= 2.0, np.nan, v) for v in inner(t, y)]
+
+        return _lockstep(fun, y0, *args)
+
+    _patched_lockstep(monkeypatch, stalling)
+    with pytest.raises(IntegrationStallError) as info:
+        unstable_riccati(prof4, GeodesicState(0.0, 0.0, 0.0), relax_time=4.0)
+    assert info.value.t_reached == pytest.approx(2.0)
 
 
 def _stalling_solve_ivp(fail_on_call):
@@ -269,14 +450,6 @@ def _stalling_solve_ivp(fail_on_call):
         )
 
     return fake
-
-
-@pytest.mark.parametrize("leg", [1, 2])
-def test_unstable_riccati_stall_raises(prof4, monkeypatch, leg):
-    monkeypatch.setattr(linearization, "solve_ivp", _stalling_solve_ivp(leg))
-    with pytest.raises(IntegrationStallError) as info:
-        unstable_riccati(prof4, GeodesicState(0.0, 0.0, 0.0), relax_time=4.0)
-    assert info.value.t_reached == pytest.approx(2.0)
 
 
 def test_riccati_and_jacobi_stall_raise(prof4, monkeypatch):
