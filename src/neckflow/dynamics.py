@@ -7,9 +7,10 @@ under the angle coordinate: with psi the angle from the parallel direction,
     theta' = cos(psi) / xi
     psi'   = xi' cos(psi) / (xi sqrt(1 + xi'^2))
 
-and the Clairaut constant c = xi(s) cos(psi) is a first integral.  The
-integrator below rides scipy's DOP853 with terminal boundary events and
-uses the measured drift of c as an a-posteriori error gauge.
+and the Clairaut constant c = xi(s) cos(psi) is a first integral whose
+measured drift is the error gauge.  integrate (and neck_transit on it) rides
+scipy's DOP853 to the boundary events with dense output; _lockstep runs rows
+in one batch without it, for neck_transits and linearization's relaxations.
 """
 
 from __future__ import annotations
@@ -96,34 +97,17 @@ def _make_events(profile: SurfaceProfile):
     exit_minus.terminal = True
     exit_minus.direction = -1.0
 
-    def turning(t, y):
-        return math.sin(y[2])
-
-    turning.terminal = False
-    turning.direction = 0.0
-
-    def equator(t, y):
-        return y[0]
-
-    equator.terminal = False
-    equator.direction = 0.0
-
-    return [exit_plus, exit_minus, turning, equator]
-
-
-_EVENT_NAMES = ("exit_plus", "exit_minus", "turning", "equator")
-_TERMINAL_ONLY = ("exit_plus", "exit_minus")
+    return [exit_plus, exit_minus]
 
 
 @dataclass
 class GeodesicPath:
-    """One integrated stretch of flow with dense output and event log."""
+    """One solve_ivp run to a neck boundary, with dense output and drift."""
 
     profile: SurfaceProfile
     c0: float
     t: np.ndarray
     states: np.ndarray  # shape (3, len(t)); rows s, theta, psi
-    events: dict[str, np.ndarray]
     drift: float
     terminated: bool  # True if a boundary event ended the run
     _sol: object = field(repr=False, default=None)
@@ -192,7 +176,7 @@ def _sum_sq(x):
     return out
 
 
-def _lockstep(fun, y0, t_bound, rtol, atol, events=()):
+def _lockstep(fun, y0, t_bound, rtol, atol, events=(), monitor=None):
     """DOP853 over rows of y' = fun(t, y) from t = 0, all rows in lockstep.
 
     y0 is (rows, dim); t_bound (> 0, finite), rtol and atol give one value
@@ -205,9 +189,11 @@ def _lockstep(fun, y0, t_bound, rtol, atol, events=()):
     rows whose event function changed sign in the accepted step, and each
     root is found on that row's interpolant as solve_ivp finds it.
 
-    Returns (t_end, y_end, hit): y_end is (rows, dim) and hit marks the rows
-    an event ended.  A row whose step falls below 10 ulps of its t raises
-    IntegrationStallError naming the row.
+    Returns (t_end, y_end, hit, peak): y_end is (rows, dim), hit marks the
+    rows an event ended, and peak holds each row's largest |monitor(rows, y)|
+    (rows the indices of y's columns) over its start, accepted steps and
+    event root, or is None, at no cost, without a monitor.  A row whose step
+    falls below 10 ulps of its t raises IntegrationStallError with the row.
     """
     y = np.array(y0, dtype=float).T.copy()
     dim, rows = y.shape
@@ -216,6 +202,7 @@ def _lockstep(fun, y0, t_bound, rtol, atol, events=()):
         for v in (t_bound, rtol, atol)
     )
     t_end, y_end, hit = np.zeros(rows), y.copy(), np.zeros(rows, dtype=bool)
+    peak = None if monitor is None else np.abs(monitor(np.arange(rows), y))
     live = np.flatnonzero(t_bound > 0.0)  # a zero span ends where it starts
     y = y[:, live]
     t, t_bound, rtol, atol = np.zeros(live.size), t_bound[live], rtol[live], atol[live]
@@ -248,8 +235,10 @@ def _lockstep(fun, y0, t_bound, rtol, atol, events=()):
         if stalled.size:
             i = stalled[0]
             raise IntegrationStallError(
-                f"solver stalled in row {live[i]}: step size below 10 ulps of t={t[i]!r}",
+                f"solver stalled in row {live[i]}: step size below 10 ulps of "
+                f"t={float(t[i])!r}",
                 t_reached=float(t[i]),
+                row=int(live[i]),
             )
         t_new = np.minimum(t + h_abs, t_bound)
         h = t_new - t
@@ -305,6 +294,8 @@ def _lockstep(fun, y0, t_bound, rtol, atol, events=()):
                     t[i], y[:, i] = root, y_root
                 done[sub] = True
                 hit[live[sub]] = True
+        if monitor is not None:  # rejected rows repeat their last state
+            peak[live] = np.maximum(peak[live], np.abs(monitor(live, y)))
         if done.any():
             t_end[live[done]], y_end[:, live[done]] = t[done], y[:, done]
             keep = ~done
@@ -312,7 +303,7 @@ def _lockstep(fun, y0, t_bound, rtol, atol, events=()):
             t_bound, rtol, atol = t_bound[keep], rtol[keep], atol[keep]
             h_abs, rejected = h_abs[keep], rejected[keep]
             g = [gi[keep] for gi in g]
-    return t_end, y_end.T, hit
+    return t_end, y_end.T, hit, peak
 
 
 def _event_roots(field, events, crossed, K, t_old, t_new, y_old, y_new):
@@ -356,37 +347,23 @@ def _clairaut_drift(profile: SurfaceProfile, s, psi, c0: float):
     return xi * np.cos(psi) - c0
 
 
-def _measure_drift(profile: SurfaceProfile, sol, c0: float, t0: float, t1: float) -> float:
-    ts = np.linspace(t0, t1, 257)
-    y = sol.sol(ts)
-    return float(np.max(np.abs(_clairaut_drift(profile, y[0], y[2], c0))))
-
-
 def integrate(
     profile: SurfaceProfile,
     state: GeodesicState,
     t_span: tuple[float, float],
-    drift_tol: float | None = 1e-8,
-    log_events: bool = True,
+    drift_tol: float = 1e-8,
 ) -> GeodesicPath:
-    """Flow a state across t_span, stopping early at a neck boundary.
+    """Flow a state across t_span with solve_ivp, stopping at a neck boundary.
 
     The Clairaut drift over the run is measured on a dense sample; if it
     exceeds drift_tol the run is repeated once at a hundredth of _RTOL and
     _ATOL, and a run that still drifts raises AccuracyError.  Solver
     breakdown raises IntegrationStallError carrying the time reached.
-    log_events=False keeps only the terminal boundary events -- use it for
-    host paths that ride along the ridge, where sin(psi) vanishes
-    identically and would register a spurious turning event on every step.
     """
     profile._check_domain(state.s)
     c0 = state.clairaut(profile)
     rhs = _make_rhs(profile)
     y0 = [state.s, state.theta, state.psi]
-    ev_funcs = _make_events(profile)
-    ev_names = _EVENT_NAMES
-    if not log_events:
-        ev_funcs, ev_names = ev_funcs[:2], _TERMINAL_ONLY
 
     tols = (_RTOL, _ATOL)
     for attempt in range(2):
@@ -395,14 +372,15 @@ def integrate(
             t_span,
             y0,
             method="DOP853",
-            events=ev_funcs,
+            events=_make_events(profile),
             dense_output=True,
             rtol=tols[0],
             atol=tols[1],
         )
         _check_stall(sol)
-        drift = _measure_drift(profile, sol, c0, t_span[0], sol.t[-1])
-        if drift_tol is None or drift <= drift_tol:
+        y = sol.sol(np.linspace(t_span[0], sol.t[-1], 257))
+        drift = float(np.max(np.abs(_clairaut_drift(profile, y[0], y[2], c0))))
+        if drift <= drift_tol:
             break
         tols = (tols[0] / 100.0, tols[1] / 100.0)
     else:
@@ -411,14 +389,11 @@ def integrate(
             "even after tightening",
             achieved=drift,
         )
-
-    events = {name: np.asarray(sol.t_events[i]) for i, name in enumerate(ev_names)}
     return GeodesicPath(
         profile=profile,
         c0=c0,
         t=sol.t,
         states=sol.y,
-        events=events,
         drift=drift,
         terminated=sol.status == 1,
         _sol=sol.sol,
@@ -427,14 +402,12 @@ def integrate(
 
 @dataclass(frozen=True)
 class NeckTransit:
-    """Numerically flowed excursion: entry to exit, with the event log."""
+    """One excursion flowed by integrate, from entry to exit, with its path."""
 
     entry: GeodesicState
     exit: GeodesicState
     transit_time: float
     dtheta: float
-    turning_times: tuple[float, ...]
-    equator_times: tuple[float, ...]
     klass: TrajectoryClass
     path: GeodesicPath
 
@@ -473,8 +446,35 @@ def neck_transit(
         exit=exit_state,
         transit_time=t_exit,
         dtheta=exit_state.theta - entry.theta,
-        turning_times=tuple(path.events["turning"].tolist()),
-        equator_times=tuple(path.events["equator"].tolist()),
         klass=classify(c0),
         path=path,
     )
+
+
+def neck_transits(profile: SurfaceProfile, psi):
+    """neck_transit of the entries (-eps0, 0, psi) as rows of one _lockstep
+    batch at integrate's tolerances: arrays (transit_time, dtheta, s, psi,
+    drift) with the exit state as its event root left it, and each row's
+    largest Clairaut drift over its start, steps and exit.  Rows are
+    batch-invariant.  Errors name the entry angle: AsymptoticEntryError, and
+    IntegrationStallError for a row that stalls or is still in at _T_MAX.
+    """
+    psi = np.asarray(psi, dtype=float)
+    if not np.all(np.sin(psi) > 0.0):
+        raise ValueError("entry vectors must point into the neck (sin psi > 0)")
+    y0 = np.column_stack([np.full(psi.shape, -profile.eps0), np.zeros(psi.shape), psi])
+    c0 = _clairaut_drift(profile, y0[:, 0], psi, 0.0)
+    if np.any(np.abs(c0) == 1.0):
+        raise AsymptoticEntryError(f"entry psi={float(psi[np.abs(c0) == 1.0][0])!r} is asymptotic")
+    try:
+        t, y, hit, drift = _lockstep(
+            _make_rhs(profile, np), y0, _T_MAX, _RTOL, _ATOL, _make_events(profile),
+            lambda rows, y: _clairaut_drift(profile, y[0], y[2], c0[rows]),
+        )
+        if not hit.all():
+            i = int(np.argmin(hit))
+            raise IntegrationStallError(f"no boundary exit before t_max={_T_MAX}", float(t[i]), i)
+    except IntegrationStallError as exc:
+        msg = f"{exc} at entry psi={float(psi[exc.row])!r}"
+        raise IntegrationStallError(msg, exc.t_reached) from exc
+    return t, y[:, 1], y[:, 0], y[:, 2], drift

@@ -26,8 +26,9 @@ class AccuracyError(RuntimeError):
 
 
 class IntegrationStallError(RuntimeError):
-    """The ODE stepper stalled; carries the time that was reached."""
+    """The ODE stepper stalled; carries the time reached and, in a batch, the row."""
 
-    def __init__(self, message: str, t_reached: float):
+    def __init__(self, message: str, t_reached: float, row: int | None = None):
         super().__init__(message)
         self.t_reached = t_reached
+        self.row = row

@@ -42,7 +42,7 @@ from .dynamics import (
     _make_rhs,
     reverse,
 )
-from .errors import AccuracyError
+from .errors import AccuracyError, IntegrationStallError
 from .surface import SurfaceProfile
 
 # integrate_jacobi and integrate_riccati: tolerances, and the Clairaut drift
@@ -216,20 +216,25 @@ def _seed_pair(k, y):
 
 def _relax(profile, states, relax_time, scale):
     """Both legs of the relaxation for every state at once, row i at scale[i]
-    times _RELAX_RTOL and _RELAX_ATOL: (window, truncated, seeds, closure)."""
+    times _RELAX_RTOL and _RELAX_ATOL: (window, truncated, seeds, closure).
+    A stall raises IntegrationStallError naming the state of its row."""
     rtol, atol = _RELAX_RTOL * scale, _RELAX_ATOL * scale
-    window, back, truncated = _lockstep(
-        _make_rhs(profile, np),
-        [reverse(st).as_array() for st in states],
-        relax_time,
-        np.maximum(rtol / 100.0, _RTOL_FLOOR),
-        atol / 100.0,
-        _make_events(profile)[:2],
-    )
-    start = np.column_stack(
-        [back[:, 0], back[:, 2] + math.pi, np.full((len(states), 2), _SEEDS)]
-    )
-    _, end, _ = _lockstep(_co_rhs(profile, _seed_pair, np), start, window, rtol, atol)
+    try:
+        window, back, truncated, _ = _lockstep(
+            _make_rhs(profile, np),
+            [reverse(st).as_array() for st in states],
+            relax_time,
+            np.maximum(rtol / 100.0, _RTOL_FLOOR),
+            atol / 100.0,
+            _make_events(profile),
+        )
+        start = np.column_stack(
+            [back[:, 0], back[:, 2] + math.pi, np.full((len(states), 2), _SEEDS)]
+        )
+        _, end, _, _ = _lockstep(_co_rhs(profile, _seed_pair, np), start, window, rtol, atol)
+    except IntegrationStallError as exc:
+        st = states[exc.row]
+        raise IntegrationStallError(f"{exc} at s={st.s}, psi={st.psi}", exc.t_reached) from exc
     closure = np.array(
         [
             max(abs(s - st.s), abs(math.remainder(psi - st.psi, 2.0 * math.pi)))

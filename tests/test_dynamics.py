@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
+from scipy.optimize import brentq
 
 import _oracles as orc
-from neckflow import dynamics
+from neckflow import bands, dynamics
 from neckflow.dynamics import (
     GeodesicState,
     _lockstep,
     integrate,
     neck_transit,
+    neck_transits,
     reverse,
     vector_field,
 )
@@ -19,6 +22,7 @@ from neckflow.errors import (
     IntegrationStallError,
     NeckDomainError,
 )
+from neckflow.experiments import chunk_rng
 from neckflow.surface import TrajectoryClass
 
 
@@ -69,8 +73,6 @@ def test_bouncing_transit(prof4):
     assert tr.klass is TrajectoryClass.BOUNCING
     assert tr.exit.s == -1.0            # bounces back out the entry side
     assert math.sin(tr.exit.psi) < 0.0  # ... moving outward
-    assert len(tr.turning_times) == 1
-    assert len(tr.equator_times) == 0   # never reaches the ridge
     assert tr.exit.psi == pytest.approx(-1.03, abs=1e-8)
     # against the independent quadrature oracle (frozen at 2e6 panels)
     assert abs(tr.dtheta) == pytest.approx(3.581422821989772, abs=1e-7)
@@ -82,8 +84,6 @@ def test_crossing_transit(prof4):
     assert tr.klass is TrajectoryClass.CROSSING
     assert tr.exit.s == 1.0             # goes through
     assert math.sin(tr.exit.psi) > 0.0
-    assert len(tr.turning_times) == 0
-    assert len(tr.equator_times) == 1
     assert tr.exit.psi == pytest.approx(1.06, abs=1e-8)
     assert abs(tr.dtheta) == pytest.approx(5.678058582472286, abs=1e-7)
     assert tr.transit_time == pytest.approx(7.363148799914143, abs=1e-7)
@@ -127,6 +127,8 @@ def test_asymptotic_entry_rejected(prof_narrow):
     assert hit is not None, "no exactly-asymptotic double nearby (unexpected)"
     with pytest.raises(AsymptoticEntryError):
         neck_transit(prof_narrow, GeodesicState(-0.5, 0.0, hit))
+    with pytest.raises(AsymptoticEntryError, match=f"psi={hit!r}"):
+        neck_transits(prof_narrow, [1.0, hit])
 
 
 def test_meridian_crossing(prof4):
@@ -198,6 +200,75 @@ def test_lockstep_stall_names_the_row():
     with pytest.raises(IntegrationStallError, match="row 1") as info:
         _lockstep(fun, [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], 3.0, 1e-10, 1e-12)
     assert info.value.t_reached == pytest.approx(1.5)
-    t_end, y_end, hit = _lockstep(fun, [[0.0, 0.0], [2.0, 0.0]], 3.0, 1e-10, 1e-12)
+    t_end, y_end, hit, _ = _lockstep(fun, [[0.0, 0.0], [2.0, 0.0]], 3.0, 1e-10, 1e-12)
     assert t_end.tolist() == [3.0, 3.0] and not hit.any()
     assert y_end[:, 1] == pytest.approx([3.0, 3.0], rel=1e-14)
+
+
+@pytest.mark.parametrize("psi", [0.4, 1.03, 1.06, 0.5 * math.pi])
+def test_event_root_on_a_shared_step(prof4, psi):
+    # scipy's DOP853 stepped until the exit event is bracketed; on that one
+    # step the engine's root and state must match scipy's, found on
+    # solve_ivp's interpolant, to the root tolerance
+    rhs, events = dynamics._make_rhs(prof4, np), dynamics._make_events(prof4)
+    solver = DOP853(dynamics._make_rhs(prof4), 0.0, [-1.0, 0.0, psi], 1e6, rtol=1e-10, atol=1e-12)
+
+    def crossed(event):  # _lockstep's rule: a sign change in the event's direction
+        g0, g1 = event(solver.t_old, solver.y_old), event(solver.t, solver.y)
+        return np.array([g0 * g1 <= 0.0 and (g1 - g0) * event.direction > 0.0])
+
+    hits = [np.array([False])]
+    while not any(h[0] for h in hits):
+        assert solver.status == "running"
+        solver.step()
+        hits = [crossed(e) for e in events]
+    ((root, state),) = dynamics._event_roots(
+        lambda t, y: np.array(rhs(t, y)), events, hits,
+        [k[:, None] for k in solver.K], np.array([solver.t_old]), np.array([solver.t]),
+        solver.y_old[:, None], solver.y[:, None],
+    )
+    sol = solver.dense_output()
+    (event,) = [e for e, c in zip(events, hits) if c[0]]
+    tol = dynamics._ROOT_TOL
+    ref = brentq(lambda t: event(t, sol(t)), solver.t_old, solver.t, xtol=tol, rtol=tol)
+    assert abs(root - ref) <= 4.0 * tol * (1.0 + ref)
+    assert np.max(np.abs(np.array(state) - sol(ref))) <= 4.0 * tol
+
+
+@pytest.fixture(scope="module")
+def band_entries(prof4):
+    """40 entry angles drawn as criterion 2 draws them, in bands 10..100."""
+    rng = chunk_rng(0, 202)
+    psi = []
+    for _ in range(40):
+        n = int(rng.integers(10, 101))
+        side = bands.BOUNCING if rng.random() < 0.5 else bands.CROSSING
+        _, (lo, hi) = bands.band_boundaries(prof4, n, side)
+        psi.append(lo + (0.05 + 0.9 * rng.random()) * (hi - lo))
+    return np.array(psi)
+
+
+def test_neck_transits_match_neck_transit(prof4, band_entries):
+    t, dtheta, s, psi, drift = out = neck_transits(prof4, band_entries)
+    for i, entry in enumerate(band_entries):
+        tr = neck_transit(prof4, GeodesicState(-1.0, 0.0, entry))
+        assert t[i] == pytest.approx(tr.transit_time, rel=1e-10, abs=0.0)
+        assert dtheta[i] == pytest.approx(tr.dtheta, rel=1e-10, abs=0.0)
+        assert psi[i] == pytest.approx(tr.exit.psi, rel=1e-10, abs=0.0)
+        assert s[i] == pytest.approx(tr.exit.s, rel=1e-14, abs=0.0)
+    # the drift column bounds the exit state's drift and meets integrate's 1e-8
+    c0 = dynamics._clairaut_drift(prof4, -1.0, band_entries, 0.0)
+    assert np.all(np.abs(dynamics._clairaut_drift(prof4, s, psi, c0)) <= drift)
+    assert np.all(drift <= 1e-8 * np.abs(c0))
+    # a row alone has the bits it has inside the batch
+    for i in (0, 17, 39):
+        alone = neck_transits(prof4, band_entries[i : i + 1])
+        assert [col.tobytes() for col in alone] == [col[i : i + 1].tobytes() for col in out]
+
+
+def test_neck_transits_without_exit_raises(prof4, monkeypatch):
+    monkeypatch.setattr(dynamics, "_T_MAX", 1.0)  # both transits take longer
+    with pytest.raises(IntegrationStallError, match=r"before t_max=1.0 at entry psi=1.03$"):
+        neck_transits(prof4, [1.03, 1.06])
+    with pytest.raises(ValueError, match="into the neck"):
+        neck_transits(prof4, [1.03, -0.4])

@@ -38,9 +38,7 @@ def default_scan(prof4):
 
 def _ridge_path(prof, t1=5.0):
     # the degenerate parallel: K = 0 for all time
-    return integrate(
-        prof, GeodesicState(0.0, 0.0, 0.0), (0.0, t1), drift_tol=None, log_events=False
-    )
+    return integrate(prof, GeodesicState(0.0, 0.0, 0.0), (0.0, t1))
 
 
 def test_riccati_flat_closed_form():
@@ -210,7 +208,7 @@ def _relax_by_solve_ivp(profile, state, relax_time, scale):
         (0.0, relax_time),
         reverse(state).as_array(),
         method="DOP853",
-        events=_make_events(profile)[:2],
+        events=_make_events(profile),
         rtol=max(rtol / 100.0, linearization._RTOL_FLOOR),
         atol=atol / 100.0,
     )
@@ -334,10 +332,10 @@ def _patched_lockstep(monkeypatch, change):
 def test_unstable_riccati_closure_covers_psi(prof4, monkeypatch):
     # shift only the forward leg's final psi: s closes, psi misses by 1e-6
     def shifted(call, fun, y0, args):
-        t_end, y_end, hit = _lockstep(fun, y0, *args)
+        t_end, y_end, hit, peak = _lockstep(fun, y0, *args)
         if np.shape(y0)[1] == 4:  # (s, psi, u_seed0, u_seed1): the forward leg
             y_end[:, 1] += 1e-6
-        return t_end, y_end, hit
+        return t_end, y_end, hit, peak
 
     _patched_lockstep(monkeypatch, shifted)
     with pytest.raises(AccuracyError) as info:
@@ -413,24 +411,40 @@ def test_unstable_riccati_seed_error_ceiling_raises(prof4, monkeypatch):
     assert info.value.achieved > 0.0
 
 
-@pytest.mark.parametrize("leg", [1, 2])
-def test_unstable_riccati_stall_raises(prof4, monkeypatch, leg):
-    # the leg-th lockstep run breaks down at t = 2: its field turns NaN
-    # there, so every step across t = 2 is rejected until the step size
-    # falls below 10 ulps
+def _stall_leg(monkeypatch, leg, off_ridge=False):
+    """Make the leg-th lockstep run break down at t = 2, in every row or in
+    the rows off the ridge (|s| > 1e-6): the field turns NaN there, so every
+    step across t = 2 is rejected until the step size falls below 10 ulps."""
+
     def stalling(call, fun, y0, args):
         if call == leg:
             inner = fun
 
             def fun(t, y):
-                return [np.where(t >= 2.0, np.nan, v) for v in inner(t, y)]
+                bad = (t >= 2.0) & ((np.abs(y[0]) > 1e-6) | (not off_ridge))
+                return [np.where(bad, np.nan, v) for v in inner(t, y)]
 
         return _lockstep(fun, y0, *args)
 
     _patched_lockstep(monkeypatch, stalling)
-    with pytest.raises(IntegrationStallError) as info:
+
+
+@pytest.mark.parametrize("leg", [1, 2])
+def test_unstable_riccati_stall_raises(prof4, monkeypatch, leg):
+    _stall_leg(monkeypatch, leg)
+    with pytest.raises(IntegrationStallError, match=r"at s=0\.0, psi=0\.0$") as info:
         unstable_riccati(prof4, GeodesicState(0.0, 0.0, 0.0), relax_time=4.0)
     assert info.value.t_reached == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("leg", [1, 2])
+def test_scan_stall_names_the_vector(prof4, monkeypatch, leg):
+    # only the second vector's rows leave the ridge, so only they stall:
+    # batch rows 1 and 3, the vector at its two tolerance levels
+    _stall_leg(monkeypatch, leg, off_ridge=True)
+    states = [GeodesicState(0.0, 0.0, 0.0), GeodesicState(0.2, 0.0, 0.3)]
+    with pytest.raises(IntegrationStallError, match=r"row [13]: .* at s=0\.2, psi=0\.3$"):
+        linearization._unstable_batch(prof4, states, 4.0, 0.25)
 
 
 def _stalling_solve_ivp(fail_on_call):
