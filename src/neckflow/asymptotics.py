@@ -13,9 +13,11 @@ and the finite neck-scale integrals they approximate:
                                                       ~  C2 * t^(bq - ar + 1)
     kind 2b:  the same integrand over [t, eps + t]
 
-as the scale t decreases to 0.  The limit constants are computed by
-adaptive quadrature over a finite window plus a certified binomial tail
-series, so their stated accuracy is a bound, not a hope.
+as the scale t decreases to 0.  Every integral runs on transition's
+graded-panel engine, one row per scale, with its embedded error estimate:
+one above 1e-9 relative after refinement raises AccuracyError, so no
+degraded number is returned.  The limit constants are the finite kinds at
+t = 1 over a window of X = 50 plus a certified binomial tail series.
 """
 
 from __future__ import annotations
@@ -24,35 +26,40 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import binom
+
+from . import transition
 
 _TAIL_X = 50.0
-_EPSREL = 1e-12
+_MODEL = ("model",)  # the engine's name for a model integrand
+
+
+def _binomials(x: float, n: int) -> list[float]:
+    """binom(x, j) for j = 0..n-1, by binom(x, j+1) = binom(x, j) (x-j)/(j+1);
+    exactly 0 beyond j = x when x is a nonnegative integer."""
+    out = [1.0]
+    for j in range(n - 1):
+        out.append(out[-1] * (x - j) / (j + 1))
+    return out
 
 
 def limit_constant_c1(r: float, alpha: float) -> float:
-    """C1(r, alpha), certified to better than 1e-8 relative error.
+    """C1(r, alpha) to the engine's 1e-9 relative ceiling, else AccuracyError.
 
-    The integral over [0, X] is done adaptively; beyond X the integrand is
-    expanded as x^(-alpha r) * sum_j binom(-alpha, j) x^(-rj), each term
-    integrating in closed form.  With X = 50 the series terms fall by a
-    factor X^(-r) < 1e-6 apiece, so truncation error is negligible next to
-    the quadrature tolerance.
+    The integral over [0, X] is kind 1a at b = 1, eps = X (split at x = 1);
+    beyond X the integrand is expanded as x^(-alpha r) * sum_j binom(-alpha,
+    j) x^(-rj), each term integrating in closed form.  With X = 50 the
+    series terms fall by a factor X^(-r) < 1e-6 apiece, so truncation error
+    is negligible next to the quadrature's.
     """
     if not alpha * r > 1.0:
         raise ValueError(f"alpha*r = {alpha * r} <= 1: C1 integral diverges")
-
-    def f(x):
-        return (x**r + 1.0) ** -alpha
-
-    head, _ = quad(f, 0.0, _TAIL_X, points=[1.0], epsabs=0.0, epsrel=_EPSREL, limit=200)
+    head = finite_model_integral("1a", r, alpha, 1.0, eps=_TAIL_X)
     tail = 0.0
-    for j in range(60):
+    # (1 + x^-r)^-alpha = sum_j binom(-alpha, j) x^(-rj); the binomial
+    # coefficient alternates sign by itself here
+    for j, cj in enumerate(_binomials(-alpha, 60)):
         p = alpha * r + r * j - 1.0
-        # (1 + x^-r)^-alpha = sum_j binom(-alpha, j) x^(-rj); the binomial
-        # coefficient alternates sign by itself here
-        term = binom(-alpha, j) * _TAIL_X**-p / p
+        term = cj * _TAIL_X**-p / p
         tail += term
         if abs(term) < 1e-16 * (head + abs(tail)):
             break
@@ -60,12 +67,14 @@ def limit_constant_c1(r: float, alpha: float) -> float:
 
 
 def limit_constant_c2(r: float, q: float, alpha: float, beta: float) -> float:
-    """C2(r, q, alpha, beta), certified to better than 1e-8 relative error.
+    """C2(r, q, alpha, beta) to the engine's 1e-9 relative ceiling, else
+    AccuracyError.
 
-    Near x = 1 the integrand behaves like (x-1)^(beta-alpha); substituting
-    x = 1 + w^m with m = 1/(1 + beta - alpha) makes it exactly bounded
-    (the Jacobian power cancels the singular one).  The far tail beyond
-    X = 50 is the double binomial series in x^(-r), x^(-q).
+    The integral over [1, X] is kind 2a at b = 1, eps = X: the substitution
+    x = 1 + w^m, m = 1/(1 + beta - alpha), makes the (x-1)^(beta-alpha)
+    endpoint behaviour exactly bounded, and the w-panels split at x = 2.
+    The far tail beyond X = 50 is the double binomial series in x^(-r),
+    x^(-q).
     """
     if beta == 0.0:
         q = 0.0  # the (x^q-1)^beta factor is identically 1
@@ -73,36 +82,15 @@ def limit_constant_c2(r: float, q: float, alpha: float, beta: float) -> float:
         raise ValueError(
             f"alpha*r - beta*q = {alpha * r - beta * q} <= 1: C2 diverges at infinity"
         )
-    if not alpha < 1.0 + beta:
-        raise ValueError(
-            f"alpha = {alpha} >= 1 + beta = {1.0 + beta}: C2 diverges at x = 1"
-        )
-    m = 1.0 / (1.0 + beta - alpha)
-
-    def near(w):  # x in (1, 2], w = (x-1)^(1/m)
-        wm = w**m
-        xr1 = math.expm1(r * math.log1p(wm))
-        val = xr1**-alpha * m * w ** (m - 1.0)
-        if beta != 0.0:
-            val *= math.expm1(q * math.log1p(wm)) ** beta
-        return val
-
-    def mid(x):
-        val = (x**r - 1.0) ** -alpha
-        if beta != 0.0:
-            val *= (x**q - 1.0) ** beta
-        return val
-
-    head1, _ = quad(near, 0.0, 1.0, epsabs=0.0, epsrel=_EPSREL, limit=200)
-    head2, _ = quad(mid, 2.0, _TAIL_X, epsabs=0.0, epsrel=_EPSREL, limit=200)
-
+    # finite_model_integral raises if alpha >= 1 + beta (divergence at x = 1)
+    head = finite_model_integral("2a", r, alpha, 1.0, eps=_TAIL_X, q=q, beta=beta)
     tail = 0.0
     e = beta * q - alpha * r
     scale = None
-    for j in range(60):
-        cj = binom(-alpha, j) * (-1.0) ** j
-        for k in range(60):
-            ck = binom(beta, k) * (-1.0) ** k
+    ck_all = [ck * (-1.0) ** k for k, ck in enumerate(_binomials(beta, 60))]
+    for j, cj in enumerate(_binomials(-alpha, 60)):
+        cj *= (-1.0) ** j
+        for k, ck in enumerate(ck_all):
             if ck == 0.0:
                 break
             p = -(e - r * j - q * k) - 1.0
@@ -114,62 +102,71 @@ def limit_constant_c2(r: float, q: float, alpha: float, beta: float) -> float:
                 break
         if abs(cj) * _TAIL_X ** -(alpha * r + r * j - beta * q - 1.0) < 1e-16 * scale:
             break
-    return head1 + head2 + tail
+    return head + tail
 
 
 def finite_model_integral(
     kind: str,
     r: float,
     alpha: float,
-    b: float,
+    b,
     eps: float = 1.0,
     q: float = 0.0,
     beta: float = 0.0,
-) -> float:
+) -> float | np.ndarray:
     """The finite-scale integral of the given kind at scale b.
 
-    kind 1a integrates (s^r + b)^(-alpha) over [0, eps]; kinds 2a and 2b
-    integrate (s^r - b^r)^(-alpha) (s^q - b^q)^beta over [b, eps] and
-    [b, eps + b].  The lower-endpoint singularity of the 2-kinds is removed
-    by s = b + w^m exactly as in the limit constants, with the differences
-    s^r - b^r = b^r expm1(r log1p(w^m / b)) kept cancellation-free.
+    kind 1a integrates (s^r + b)^(-alpha) over [0, eps], split at the peak
+    width b^(1/r); kinds 2a and 2b integrate (s^r - b^r)^(-alpha) (s^q -
+    b^q)^beta over [b, eps] and [b, eps + b].  The lower-endpoint
+    singularity of the 2-kinds is removed by s = b + w^m exactly as in the
+    limit constants, split at w = b^(1/m), with the differences s^r - b^r =
+    b^r expm1(r log1p(w^m / b)) kept cancellation-free.
+
+    b is a float or an array of scales, each one row of transition's
+    graded-panel engine, so a value does not depend on the other scales; a
+    float b returns a float.  AccuracyError if an estimate stays above 1e-9
+    relative.
     """
-    if b <= 0.0:
+    bs = np.asarray(b, dtype=float)
+    if not np.all(bs > 0.0):
         raise ValueError("scale b must be positive")
     if kind == "1a":
 
-        def f(s):
-            return (s**r + b) ** -alpha
+        def rows(_, b):  # the engine's row maker, b a column of scales
+            def f(s, _):
+                return {"model": (s**r + b) ** -alpha}
 
-        peak = min(b ** (1.0 / r), 0.5 * eps)
-        val, _ = quad(
-            f, 0.0, eps, points=[peak], epsabs=0.0, epsrel=_EPSREL, limit=200
-        )
-        return val
-    if kind not in ("2a", "2b"):
+            return f, np.minimum(b ** (1.0 / r), 0.5 * eps), eps
+
+    elif kind in ("2a", "2b"):
+        if beta == 0.0:
+            q = 0.0
+        if not alpha < 1.0 + beta:
+            raise ValueError(
+                f"alpha = {alpha} >= 1 + beta = {1.0 + beta}: diverges at the lower endpoint"
+            )
+        if kind == "2a" and not np.all(bs < eps):
+            raise ValueError(f"kind 2a needs b < eps, got b={b} eps={eps}")
+        m = 1.0 / (1.0 + beta - alpha)
+
+        def rows(_, b):
+            br, bq = b**r, b**q
+
+            def f(w, _):
+                wm = w**m
+                val = (br * np.expm1(r * np.log1p(wm / b))) ** -alpha * m * w ** (m - 1.0)
+                if beta != 0.0:
+                    val *= (bq * np.expm1(q * np.log1p(wm / b))) ** beta
+                return {"model": val}
+
+            top = (eps - b if kind == "2a" else eps) ** (1.0 / m)
+            return f, np.minimum(b ** (1.0 / m), 0.5 * top), top
+
+    else:
         raise ValueError(f"unknown model-integral kind {kind!r}")
-    if beta == 0.0:
-        q = 0.0
-    if not alpha < 1.0 + beta:
-        raise ValueError("integral diverges at its lower endpoint")
-    m = 1.0 / (1.0 + beta - alpha)
-    length = eps - b if kind == "2a" else eps
-    if length <= 0.0:
-        raise ValueError(f"kind 2a needs b < eps, got b={b} eps={eps}")
-    br = b**r
-    bq = b**q
-
-    def g(w):
-        wm = w**m
-        sr_m = br * math.expm1(r * math.log1p(wm / b))
-        val = sr_m**-alpha * m * w ** (m - 1.0)
-        if beta != 0.0:
-            val *= (bq * math.expm1(q * math.log1p(wm / b))) ** beta
-        return val
-
-    hi = length ** (1.0 / m)
-    val, _ = quad(g, 0.0, hi, epsabs=0.0, epsrel=_EPSREL, limit=200)
-    return val
+    vals = transition._integrate(rows, None, bs.ravel(), _MODEL, transition._GL_NODES)[0, 0]
+    return float(vals[0]) if bs.ndim == 0 else vals.reshape(bs.shape)
 
 
 def limit_constant(
@@ -199,15 +196,13 @@ def empirical_ratio(
     """Finite integral / (limit constant * b^exponent) for each scale b.
 
     The ratios approach 1 as b decreases; how fast depends on eps (the
-    neglected part of the limit integral lives beyond eps/b^(1/r)).
+    neglected part of the limit integral lives beyond eps/b^(1/r)).  All
+    scales are rows of one engine call.
     """
     c = limit_constant(kind, r, alpha, q=q, beta=beta)
     e = predicted_exponent(kind, r, alpha, q, beta)
-    out = []
-    for b in b_values:
-        f = finite_model_integral(kind, r, alpha, b, eps=eps, q=q, beta=beta)
-        out.append(f / (c * b**e))
-    return np.asarray(out)
+    b = np.asarray(b_values, dtype=float)
+    return finite_model_integral(kind, r, alpha, b, eps=eps, q=q, beta=beta) / (c * b**e)
 
 
 #: the (kind, alpha, beta, q-as-function-of-r) triples exercised by the

@@ -29,11 +29,12 @@ zeta' and zeta'' are exact integrals on both sides, differentiated under the
 integral sign (for bouncing entries by Leibniz's rule, as the turning point
 moves the upper limit).
 
-One engine integrates all of them, for one entry or a batch.  Each side has
-one integrand, a numpy expression that yields, in one pass over shared
-nodes, whichever of upsilon0, zeta and the two derivative integrands the
-caller asks for.  Each row is split at its own scale (the spike width, or
-sqrt(y) in w) into two Gauss-Legendre panels, the outer one graded in a log
+One engine integrates all of them, for one entry or a batch, and asymptotics
+runs its model integrals on it too, one row per scale.  Each side has one
+integrand, a numpy expression that yields, in one pass over shared nodes,
+whichever of upsilon0, zeta and the two derivative integrands the caller
+asks for.  Each row is split at its own scale (the spike width, or sqrt(y)
+in w) into two Gauss-Legendre panels, the outer one graded in a log
 variable, so the accuracy holds uniformly up to the asymptotic angle.  An
 embedded lower-order rule gives every (row, integrand) an error estimate:
 one above the 1e-9 relative ceiling is redone at twice the nodes, and one
@@ -61,6 +62,7 @@ _GL_NODES = 64  # first level: a 32-node answer rule on each of two panels
 _ERR_CEILING = 1e-9  # certified relative accuracy of every returned value
 _BLOCK_ROWS = 176  # rows per pass, so memory does not grow with the batch
 _LABELS = {"upsilon0": "Upsilon0", "zeta": "zeta", "dzeta": "zeta'", "d2zeta": "zeta''"}
+_LABELS["model"] = "model"  # asymptotics' model integrals, on the same engine
 
 
 @dataclass(frozen=True)
@@ -251,7 +253,8 @@ def _blocked(side, profile: SurfaceProfile, u: np.ndarray, which, n: int) -> np.
 
 def _integrate(side, profile: SurfaceProfile, u: np.ndarray, which, nodes: int):
     """_blocked at nodes // 2 nodes per panel, then each (row, integrand)
-    above the ceiling redone at nodes; AccuracyError if one still is."""
+    above the ceiling redone at nodes; AccuracyError if one still is.  The
+    row maker side(profile, column of u) gives _graded_panels' (f, a, b)."""
     res = _blocked(side, profile, u, which, nodes // 2)
     redo = ~(res[1] / np.abs(res[0]) <= _ERR_CEILING)  # a NaN estimate is redone too
     rows = redo.any(axis=0)

@@ -4,8 +4,8 @@ Everything here is deliberately low-tech: composite midpoint/Simpson rules
 on fixed grids, classic RK4, gamma-function closed forms, mpmath integrals
 at 40 digits differenced by brute force, and adaptive Gauss-Kronrod
 quadrature of scalar integrands.  None of it shares a code path with the
-package (which integrates excursions on Gauss-Legendre panels and orbits
-with DOP853), so agreement between the two is evidence, not tautology.
+package (which integrates excursions and model integrals on Gauss-Legendre
+panels and orbits with DOP853), so agreement between the two is evidence, not tautology.
 """
 
 import math

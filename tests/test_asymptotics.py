@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import _oracles as orc
+from neckflow import transition
 from neckflow.asymptotics import (
     MODEL_TRIPLES,
     empirical_ratio,
@@ -11,8 +12,10 @@ from neckflow.asymptotics import (
     fit_exponent,
     limit_constant_c1,
     limit_constant_c2,
+    model_triples,
     predicted_exponent,
 )
+from neckflow.errors import AccuracyError
 
 # frozen independently-verified limit constants for the beta >= 1 triples;
 # the beta = 0 cases are covered exactly by the gamma closed forms below
@@ -88,22 +91,74 @@ def test_kind_2_ratios_approach_one():
         assert err[2] < 0.02
 
 
-def test_finite_model_integral_against_direct_quadrature():
-    # kind 2a at moderate b has no real singularity trouble for Simpson on
-    # a shifted grid; compare the package's substituted form against it
-    b, r, alpha, beta, q = 0.1, 4.0, 1.5, 1.0, 3.0
+@pytest.mark.parametrize(
+    "kind, alpha, beta, q, b",
+    [
+        pytest.param("1a", 0.5, 0.0, 0.0, 1e-6, id="1a-a0.5"),
+        pytest.param("1a", 2.5, 0.0, 0.0, 1e-6, id="1a-a2.5"),
+        pytest.param("2a", 1.5, 1.0, 3.0, 0.1, id="2a-a1.5"),
+        pytest.param("2b", 1.5, 1.0, 2.0, 0.1, id="2b-a1.5"),
+        pytest.param("2b", 2.5, 2.0, 3.0, 0.1, id="2b-a2.5"),
+    ],
+)
+def test_finite_model_integral_against_direct_quadrature(kind, alpha, beta, q, b):
+    # independent fixed-grid rules on the raw integrands over eps = 1
+    r = 4.0
+    if kind == "1a":
+        # Simpson's grid step 1.25e-6 resolves the peak width b^(1/4) ~ 0.03
+        ref = orc.simpson(lambda s: (s**r + b) ** -alpha, 0.0, 1.0, 400_000)
+    else:
+        # integrable ~ (s-b)^(beta-alpha) = (s-b)^(-1/2) at s=b: substitute
+        # s = b + w^2 with an independent midpoint rule
+        def sub(w):
+            s = b + w * w
+            return (s**r - b**r) ** -alpha * (s**q - b**q) ** beta * 2.0 * w
 
-    def raw(s):
-        return (s**r - b**r) ** -alpha * (s**q - b**q) ** beta
-
-    # integrable ~ (s-b)^(beta-alpha) = (s-b)^(-1/2) at s=b: substitute
-    # s = b + w^2 with an independent midpoint rule
-    def sub(w):
-        return raw(b + w * w) * 2.0 * w
-
-    ref = orc.midpoint(sub, 0.0, math.sqrt(1.0 - b), 400_000)
-    val = finite_model_integral("2a", r, alpha, b, eps=1.0, q=q, beta=beta)
+        length = 1.0 - b if kind == "2a" else 1.0
+        ref = orc.midpoint(sub, 0.0, math.sqrt(length), 400_000)
+    val = finite_model_integral(kind, r, alpha, b, eps=1.0, q=q, beta=beta)
     assert val == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("r", [4.0, 10.0])
+def test_finite_model_rows_are_batch_invariant(r):
+    # every scale is one engine row: alone it gets the bits it gets in a batch
+    for kind, alpha, beta, q in model_triples(r):
+        b = np.geomspace(1e-2, 1e-6 if kind == "1a" else 1e-4, 7)
+        batch = finite_model_integral(kind, r, alpha, b, eps=2.0, q=q, beta=beta)
+        assert batch.shape == b.shape
+        for bk, want in zip(b, batch):
+            one = finite_model_integral(kind, r, alpha, float(bk), eps=2.0, q=q, beta=beta)
+            assert type(one) is float and one == want
+
+
+def test_empirical_ratio_row_matches_one_scale_call():
+    # the asymptotics table's smallest scale against criterion 7's one-b call
+    for kind, alpha, beta, q in model_triples(4.0):
+        b = 1e-6 if kind == "1a" else 1e-4
+        table = empirical_ratio(
+            kind, 4.0, alpha, np.geomspace(1e-2, b, 5), eps=2.0, q=q, beta=beta
+        )
+        one = empirical_ratio(kind, 4.0, alpha, [b], eps=2.0, q=q, beta=beta)
+        assert one.shape == (1,) and one[0] == table[-1]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: limit_constant_c1(4.0, 1.5), id="c1"),
+        pytest.param(lambda: limit_constant_c2(4.0, 3.0, 1.5, 1.0), id="c2"),
+        pytest.param(
+            lambda: finite_model_integral("2a", 4.0, 1.5, 1e-3, q=3.0, beta=1.0),
+            id="2a",
+        ),
+    ],
+)
+def test_model_integrals_raise_above_ceiling(call, monkeypatch):
+    monkeypatch.setattr(transition, "_ERR_CEILING", 0.0)
+    with pytest.raises(AccuracyError, match="model integral") as info:
+        call()
+    assert info.value.achieved > 0.0
 
 
 def test_finite_model_integral_validation():
