@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bands, transition
-from .asymptotics import empirical_ratio, fit_exponent, limit_constant, model_triples
+from .asymptotics import fit_exponent, model_table
 from .dynamics import GeodesicState, integrate, neck_transit, neck_transits
 from .experiments import (
     ExperimentConfig,
@@ -203,11 +203,9 @@ def criterion_6_band_geometry() -> CriterionResult:
                 0.95 <= ratio <= 1.05,
                 f"width/asymptote = {ratio:.4f} at n={n} ({side})",
             )
-    ns = np.unique(np.geomspace(50, 5000, 12).astype(int))
+    ns = bands.band_range(50, 5000)
     for side in bands.SIDES:
-        fit = fit_exponent(
-            ns, [bands.accumulation_distance(profile, int(n), side) for n in ns]
-        )
+        fit = fit_exponent(ns, [bands.accumulation_distance(profile, n, side) for n in ns])
         details[f"accumulation_slope_{side}"] = fit.exponent
         _in(failures, fit.exponent, -2.0, 0.05, f"accumulation slope ({side})")
     return _result(6, "band-geometry-asymptotics", t0, details, failures)
@@ -254,22 +252,17 @@ def _brute_c2(r, q, alpha, beta, panels: int = 1 << 14) -> float:
     return _simpson(near, 0.0, 1.0, panels) + _simpson(far, 0.0, 0.5, panels)
 
 
-_RATIO_EPS = 2.0  # finite-integral window; see the ledger on the 1a margin
-
-
 def criterion_7_model_integrals() -> CriterionResult:
     t0 = time.perf_counter()
     failures: list[str] = []
     details = {}
     r = 4.0
-    for kind, alpha, beta, q in model_triples(r):
-        b = 1e-6 if kind == "1a" else 1e-4
+    floors = {}  # each triple's last table row, at its smallest scale
+    for row in model_table(r):
+        floors[row["kind"], row["alpha"], row["beta"]] = row
+    for (kind, alpha, beta), row in floors.items():
         tol = 0.01 if kind == "1a" else 0.02
-        ratio = float(
-            empirical_ratio(
-                kind, r, alpha, [b], eps=_RATIO_EPS, q=q, beta=beta
-            )[0]
-        )
+        ratio = row["ratio"]
         label = f"{kind}_a{alpha:g}_b{beta:g}"
         details[f"ratio_{label}"] = ratio
         _check(
@@ -277,7 +270,7 @@ def criterion_7_model_integrals() -> CriterionResult:
             abs(ratio - 1.0) <= tol,
             f"ratio {label} = {ratio:.5f}, off 1 by more than {tol:.0%}",
         )
-        ours = limit_constant(kind, r, alpha, q=q, beta=beta)
+        ours, q = row["limit_constant"], row["q"]
         brute = _brute_c1(r, alpha) if kind == "1a" else _brute_c2(r, q, alpha, beta)
         rel = abs(ours - brute) / brute
         details[f"oracle_rel_{label}"] = rel

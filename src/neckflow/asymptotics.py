@@ -192,8 +192,9 @@ def empirical_ratio(
     eps: float = 1.0,
     q: float = 0.0,
     beta: float = 0.0,
-) -> np.ndarray:
-    """Finite integral / (limit constant * b^exponent) for each scale b.
+) -> tuple[float, np.ndarray]:
+    """(limit constant, finite integral / (constant * b^exponent) for each
+    scale b).
 
     The ratios approach 1 as b decreases; how fast depends on eps (the
     neglected part of the limit integral lives beyond eps/b^(1/r)).  All
@@ -202,7 +203,7 @@ def empirical_ratio(
     c = limit_constant(kind, r, alpha, q=q, beta=beta)
     e = predicted_exponent(kind, r, alpha, q, beta)
     b = np.asarray(b_values, dtype=float)
-    return finite_model_integral(kind, r, alpha, b, eps=eps, q=q, beta=beta) / (c * b**e)
+    return c, finite_model_integral(kind, r, alpha, b, eps=eps, q=q, beta=beta) / (c * b**e)
 
 
 #: the (kind, alpha, beta, q-as-function-of-r) triples exercised by the
@@ -224,6 +225,30 @@ def model_triples(r: float):
     """
     for kind, alpha, beta, q_off in MODEL_TRIPLES:
         yield kind, alpha, beta, (0.0 if kind == "1a" else r + q_off)
+
+
+#: the model table's finite-integral window: at eps = 2 the truncation
+#: defect of kind 1a at alpha = 1/2, b = 1e-6 is ~0.85% (1.7% at eps = 1)
+_TABLE_EPS = 2.0
+_TABLE_COLUMNS = ("kind", "alpha", "beta", "q", "b", "limit_constant", "ratio")
+
+
+def model_table(r: float) -> list[dict]:
+    """The model-integral convergence table at profile exponent r.
+
+    For each of model_triples(r), five rows at scales b log-spaced from
+    1e-2 down to the triple's floor (1e-6 for kind 1a, 1e-4 for the
+    2-kinds), each with the limit constant and the empirical ratio at
+    eps = _TABLE_EPS.  Each constant is integrated once, and a triple's
+    last row is its floor.
+    """
+    rows = []
+    for kind, alpha, beta, q in model_triples(r):
+        b_values = np.geomspace(1e-2, 1e-6 if kind == "1a" else 1e-4, 5)
+        c, ratios = empirical_ratio(kind, r, alpha, b_values, eps=_TABLE_EPS, q=q, beta=beta)
+        for b, ratio in zip(b_values.tolist(), ratios.tolist()):
+            rows.append(dict(zip(_TABLE_COLUMNS, (kind, alpha, beta, q, b, c, ratio))))
+    return rows
 
 
 @dataclass(frozen=True)

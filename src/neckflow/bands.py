@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .surface import SurfaceProfile
 
 BOUNCING = "bouncing"
@@ -162,3 +164,9 @@ def band_midpoint(
     c_lo, c_hi = check_band(profile, n, side, n0)
     c_mid = 0.5 * (c_lo + c_hi)
     return c_mid, math.acos(c_mid / profile.boundary_radius)
+
+
+def band_range(n_min: int, n_max: int, count: int = 12) -> list[int]:
+    """count log-spaced band indices from n_min to n_max, rounded down, with
+    repeats dropped."""
+    return np.unique(np.geomspace(n_min, n_max, count).astype(int)).tolist()

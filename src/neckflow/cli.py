@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import __version__, acceptance, bands, linearization, transition
-from .asymptotics import empirical_ratio, limit_constant, model_triples
-from .dynamics import GeodesicState, integrate, neck_transit
+from .asymptotics import model_table
+from .dynamics import DRIFT_TOL, GeodesicState, integrate, neck_transit
 from .errors import AccuracyError, IntegrationStallError
 from .experiments import (
     ExperimentConfig,
@@ -77,7 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--time", type=float, default=50.0, help="integration horizon")
     sp.add_argument("--points", type=int, default=1000, help="output sample count")
     sp.add_argument(
-        "--tol", type=float, default=1e-8, help="Clairaut drift tolerance (default 1e-08)"
+        "--tol",
+        type=float,
+        default=DRIFT_TOL,
+        help="Clairaut drift tolerance (default %(default)s)",
     )
     sp.set_defaults(func=cmd_geodesic, default_format="csv")
 
@@ -110,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "hyperbolicity", parents=[common], help="horocycle curvature scan"
     )
-    sp.add_argument("--relax-time", type=float, default=20.0)
-    sp.add_argument("--spread-tol", type=float, default=0.25)
+    sp.add_argument("--relax-time", type=float, default=linearization.RELAX_TIME)
+    sp.add_argument("--spread-tol", type=float, default=linearization.SPREAD_TOL)
     sp.set_defaults(func=cmd_hyperbolicity, default_format="csv")
 
     sp = sub.add_parser("report", parents=[common], help="run the acceptance suite")
@@ -178,10 +181,6 @@ def _emit(args, cfg, rows=None, columns=None, tables=None, fits=None, fmt=None) 
         sys.stdout.write(text)
 
 
-def _band_range(cfg) -> np.ndarray:
-    return np.unique(np.geomspace(cfg["n_min"], cfg["n_max"], 12).astype(int))
-
-
 def cmd_geodesic(args, cfg) -> int:
     profile = _profile(cfg)
     state = GeodesicState(s=args.s, theta=args.theta, psi=args.psi)
@@ -230,7 +229,8 @@ def cmd_transit(args, cfg) -> int:
 
 def cmd_zeta(args, cfg) -> int:
     profile = _profile(cfg)
-    rows = transition.tabulate_bands(profile, _band_range(cfg), n0=cfg["n0"])
+    ns = bands.band_range(cfg["n_min"], cfg["n_max"])
+    rows = transition.tabulate_bands(profile, ns, n0=cfg["n0"])
     _emit(args, cfg, rows=rows, columns=ZETA_COLUMNS)
     return 0
 
@@ -238,23 +238,23 @@ def cmd_zeta(args, cfg) -> int:
 def cmd_bands(args, cfg) -> int:
     profile = _profile(cfg)
     rows = []
-    for n in _band_range(cfg):
+    for n in bands.band_range(cfg["n_min"], cfg["n_max"]):
         for side in bands.SIDES:
             (c_lo, c_hi), (p_lo, p_hi) = bands.band_boundaries(
-                profile, int(n), side, n0=cfg["n0"]
+                profile, n, side, n0=cfg["n0"]
             )
             rows.append(
                 {
-                    "n": int(n),
+                    "n": n,
                     "side": side,
                     "c_lo": c_lo,
                     "c_hi": c_hi,
                     "psi_lo": p_lo,
                     "psi_hi": p_hi,
                     "width": p_hi - p_lo,
-                    "width_asymptote": bands.width_asymptote(profile, int(n)),
+                    "width_asymptote": bands.width_asymptote(profile, n),
                     "accumulation": bands.accumulation_distance(
-                        profile, int(n), side, n0=cfg["n0"]
+                        profile, n, side, n0=cfg["n0"]
                     ),
                 }
             )
@@ -304,33 +304,8 @@ def cmd_distortion(args, cfg) -> int:
 
 
 def cmd_asymptotics(args, cfg) -> int:
-    r = cfg["r"]
-    rows = []
-    for kind, alpha, beta, q in model_triples(r):
-        b_floor = 1e-6 if kind == "1a" else 1e-4
-        b_values = np.geomspace(1e-2, b_floor, 5)
-        constant = limit_constant(kind, r, alpha, q=q, beta=beta)
-        ratios = empirical_ratio(
-            kind, r, alpha, b_values, eps=2.0, q=q, beta=beta
-        )
-        for b, ratio in zip(b_values, ratios):
-            rows.append(
-                {
-                    "kind": kind,
-                    "alpha": alpha,
-                    "beta": beta,
-                    "q": q,
-                    "b": float(b),
-                    "limit_constant": constant,
-                    "ratio": float(ratio),
-                }
-            )
-    _emit(
-        args,
-        cfg,
-        rows=rows,
-        columns=["kind", "alpha", "beta", "q", "b", "limit_constant", "ratio"],
-    )
+    rows = model_table(cfg["r"])
+    _emit(args, cfg, rows=rows, columns=list(rows[0]))
     return 0
 
 

@@ -27,6 +27,7 @@ from .errors import AccuracyError, AsymptoticEntryError, IntegrationStallError, 
 from .surface import SurfaceProfile, TrajectoryClass, classify
 
 _RTOL, _ATOL = 1e-10, 1e-12  # integrate's; a drifting run retries at a hundredth
+DRIFT_TOL = 1e-8  # integrate's default Clairaut drift tolerance (geodesic --tol)
 _T_MAX = 1e6  # neck_transit's time cap for near-asymptotic entries
 
 
@@ -351,7 +352,7 @@ def integrate(
     profile: SurfaceProfile,
     state: GeodesicState,
     t_span: tuple[float, float],
-    drift_tol: float = 1e-8,
+    drift_tol: float = DRIFT_TOL,
 ) -> GeodesicPath:
     """Flow a state across t_span with solve_ivp, stopping at a neck boundary.
 

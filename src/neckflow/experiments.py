@@ -16,13 +16,17 @@ engine; each root is widened into a bracket whose edges are certified
 against the engine's error estimate, and only the rare samples inside a
 bracket are integrated.
 
-The scaling and distortion suites evaluate the transition map at band
-midpoints and in-band offsets through transition.evaluate and
-transition.zeta_derivs, the one-row case of the same engine.
+The scaling suite reads its rows from transition.tabulate_bands and adds
+the growth factors; the distortion suite takes zeta' at every in-band
+offset from one transition.zeta_derivs_batch call; default_thresholds makes
+one upsilon0_batch call.  Each is one engine pass per side (plus the redo
+level), and a row gets the bits the one-row transition.evaluate,
+zeta_derivs or upsilon0 gives it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -110,13 +114,9 @@ def default_thresholds(
     n_hi), so the survival curve is probed where the band structure says the
     tail lives.
     """
-    n_lo = max(_THRESHOLD_N_LO, n0)
-    ns = np.unique(np.geomspace(n_lo, n_hi, _THRESHOLD_COUNT).astype(int))
-    thr = []
-    for n in ns:
-        _, psi_mid = bands.band_midpoint(profile, int(n), bands.CROSSING, n0=n0)
-        thr.append(2.0 * transition.upsilon0(profile, psi_mid))
-    return np.asarray(thr)
+    ns = bands.band_range(max(_THRESHOLD_N_LO, n0), n_hi, _THRESHOLD_COUNT)
+    psi = [bands.band_midpoint(profile, n, bands.CROSSING, n0=n0)[1] for n in ns]
+    return 2.0 * upsilon0_batch(profile, np.array(psi))
 
 
 @dataclass(frozen=True)
@@ -324,27 +324,14 @@ def scaling_suite(config: ExperimentConfig, n_points: int = 12) -> SuiteResult:
     zeta''.
     """
     profile = config.profile()
-    ns = np.unique(np.geomspace(config.n_min, config.n_max, n_points).astype(int))
-    rows = []
-    for n in ns:
-        for side in bands.SIDES:
-            _, psi_mid = bands.band_midpoint(profile, int(n), side, n0=config.n0)
-            ev = transition.evaluate(profile, psi_mid)
-            row = {
-                "n": int(n),
-                "side": side,
-                "psi_mid": psi_mid,
-                "c": ev.c,
-                "upsilon0": ev.upsilon0,
-                "zeta": ev.zeta,
-                "zeta_prime": ev.zeta_prime,
-                "zeta_second": ev.zeta_second,
-            }
-            for slope in (0.0, 1.0, -1.0):
-                row[f"growth_{_slope_tag(slope)}"] = transition.growth_factor(
-                    profile, psi_mid, slope, zeta_prime=ev.zeta_prime
-                )
-            rows.append(row)
+    ns = bands.band_range(config.n_min, config.n_max, n_points)
+    rows = transition.tabulate_bands(profile, ns, n0=config.n0)
+    for row in rows:
+        del row["err_est"]
+        for slope in (0.0, 1.0, -1.0):
+            row[f"growth_{_slope_tag(slope)}"] = transition.growth_factor(
+                profile, row["psi_mid"], slope, zeta_prime=row["zeta_prime"]
+            )
 
     fits: dict[str, ScalingFit] = {}
     for side in bands.SIDES:
@@ -395,27 +382,23 @@ def distortion_suite(config: ExperimentConfig) -> SuiteResult:
     variation is O(1).
     """
     profile = config.profile()
-    ns = np.unique(
-        np.geomspace(config.n_min, config.n_max, 10).astype(int)
-    )
-    rows = []
+    ns = bands.band_range(config.n_min, config.n_max, 10)
+    psi = []
     for n in ns:
-        band_max = 0.0
         for side in bands.SIDES:
-            _, (psi_lo, psi_hi) = bands.band_boundaries(
-                profile, int(n), side, n0=config.n0
-            )
-            width = psi_hi - psi_lo
-            pts = []
-            for frac in _DISTORTION_OFFSETS:
-                psi = psi_lo + frac * width
-                d = transition.zeta_derivs(profile, psi)
-                pts.append((psi, math.log1p(abs(d.zeta_prime))))
-            for i in range(len(pts)):
-                for j in range(i + 1, len(pts)):
-                    dpsi = abs(pts[j][0] - pts[i][0])
-                    quot = abs(pts[j][1] - pts[i][1]) / dpsi**_HOLDER
-                    band_max = max(band_max, quot)
-        rows.append({"n": int(n), "m_n": band_max})
+            _, (psi_lo, psi_hi) = bands.band_boundaries(profile, n, side, n0=config.n0)
+            psi += [psi_lo + frac * (psi_hi - psi_lo) for frac in _DISTORTION_OFFSETS]
+    logs = [math.log1p(abs(d.zeta_prime)) for d in transition.zeta_derivs_batch(profile, psi)]
+    pts = list(zip(psi, logs))
+    k, sides = len(_DISTORTION_OFFSETS), len(bands.SIDES)
+    # the largest quotient over the pairs of each (n, side)'s k angles
+    side_max = [
+        max(
+            abs(log_b - log_a) / abs(psi_b - psi_a) ** _HOLDER
+            for (psi_a, log_a), (psi_b, log_b) in itertools.combinations(pts[j : j + k], 2)
+        )
+        for j in range(0, len(pts), k)
+    ]
+    rows = [{"n": n, "m_n": max(side_max[i * sides : (i + 1) * sides])} for i, n in enumerate(ns)]
     fit = fit_exponent([row["n"] for row in rows], [row["m_n"] for row in rows])
     return SuiteResult(config=config, rows=tuple(rows), fits={"m_n_trend": fit})

@@ -64,6 +64,8 @@ _SEEDS = (0.0, 1.0)  # nonnegative, so the comparison principle keeps u >= 0
 _CLOSURE_TOL = 1e-9
 _SEED_TOL = 1e-9
 _MAX_UNCONFIDENT = 0.2  # share of low-confidence points horocycle_scan accepts
+# unstable_riccati's and horocycle_scan's defaults (hyperbolicity's flags)
+RELAX_TIME, SPREAD_TOL = 20.0, 0.25
 
 
 def _co_rhs(profile, linear, xp=math):
@@ -299,8 +301,8 @@ def _unstable_batch(profile, states, relax_time, spread_tol):
 def unstable_riccati(
     profile: SurfaceProfile,
     state: GeodesicState,
-    relax_time: float = 20.0,
-    spread_tol: float = 0.25,
+    relax_time: float = RELAX_TIME,
+    spread_tol: float = SPREAD_TOL,
 ) -> UnstableEstimate:
     """Estimate k+(v) by relaxing the Riccati equation over a past window.
 
@@ -352,8 +354,8 @@ def horocycle_scan(
     profile: SurfaceProfile,
     s_values=None,
     psi_values=None,
-    relax_time: float = 20.0,
-    spread_tol: float = 0.25,
+    relax_time: float = RELAX_TIME,
+    spread_tol: float = SPREAD_TOL,
 ) -> ScanReport:
     """Scan k+/k- over a grid near the degenerate parallel.
 

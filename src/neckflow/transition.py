@@ -281,24 +281,32 @@ def excursion_integrals(
 
     The names are "upsilon0", "zeta", and the side's derivative integrands
     "dzeta" and "d2zeta" (see _bouncing_derivs and _crossing_derivs).  An
-    exactly asymptotic angle (u = 0) gets inf with the estimate 0.
+    exactly asymptotic angle (u = 0) gets inf and a grazing one (psi = 0,
+    never inside the neck) 0, each with the estimate 0.
     """
     psi = np.asarray(psi, dtype=float)
     u, bounce = entry_scales(profile, psi)
     res = np.zeros((2, len(which)) + psi.shape)
-    res[0] = np.inf
-    finite = u > 0.0
-    for rows, side in ((bounce & finite, _bouncing), (~bounce & finite, _crossing)):
+    res[0] = np.where(psi == 0.0, 0.0, np.inf)
+    inside = (u > 0.0) & (psi != 0.0)
+    for rows, side in ((bounce & inside, _bouncing), (~bounce & inside, _crossing)):
         res[:, :, rows] = _integrate(side, profile, u[rows], which, nodes)
     return res
 
 
-def _row(profile: SurfaceProfile, psi: float, which):
-    """(entry_data, [(value, error estimate) per name in which]) at psi."""
-    ent = entry_data(profile, psi)
-    side = _bouncing if ent.klass is TrajectoryClass.BOUNCING else _crossing
-    vals, errs = _integrate(side, profile, np.array([ent.u]), which, _GL_NODES)[:, :, 0]
-    return ent, [(float(v), float(e)) for v, e in zip(vals, errs)]
+def _rows(profile: SurfaceProfile, psi, which):
+    """(entry_data of each angle in psi, its [value, error estimate] per
+    name in which), the integrals from one _integrate pass per side."""
+    ents = [entry_data(profile, p) for p in psi]
+    out = [None] * len(ents)
+    sides = ((_bouncing, TrajectoryClass.BOUNCING), (_crossing, TrajectoryClass.CROSSING))
+    for side, klass in sides:
+        idx = [i for i, ent in enumerate(ents) if ent.klass is klass]
+        if idx:
+            res = _integrate(side, profile, np.array([ents[i].u for i in idx]), which, _GL_NODES)
+            for i, row in zip(idx, res.T.tolist()):
+                out[i] = row
+    return ents, out
 
 
 def zeta(profile: SurfaceProfile, psi: float) -> float:
@@ -307,12 +315,12 @@ def zeta(profile: SurfaceProfile, psi: float) -> float:
     Diverges (through the band structure) as psi approaches the asymptotic
     angle from either side, and vanishes linearly in c as psi -> pi/2.
     """
-    return _row(profile, psi, ("zeta",))[1][0][0]
+    return _rows(profile, [psi], ("zeta",))[1][0][0][0]
 
 
 def upsilon0(profile: SurfaceProfile, psi: float) -> float:
     """Half transit time of one excursion entering at angle psi."""
-    return _row(profile, psi, ("upsilon0",))[1][0][0]
+    return _rows(profile, [psi], ("upsilon0",))[1][0][0][0]
 
 
 @dataclass(frozen=True)
@@ -401,13 +409,19 @@ def _certified(what: str, val: float, err: float) -> None:
         )
 
 
+def zeta_derivs_batch(profile: SurfaceProfile, psi) -> list[TransitionDerivs]:
+    """zeta_derivs of each entry angle in psi, the integrals from one
+    engine pass per side."""
+    ents, ints = _rows(profile, psi, ("dzeta", "d2zeta"))
+    return [_derivs(profile, ent, *row) for ent, row in zip(ents, ints)]
+
+
 def zeta_derivs(profile: SurfaceProfile, psi: float) -> TransitionDerivs:
     """zeta' and zeta'' at any non-asymptotic psi, from exact integrals.
 
     Raises AccuracyError if either error estimate exceeds 1e-9 relative.
     """
-    ent, (i1, i2) = _row(profile, psi, ("dzeta", "d2zeta"))
-    return _derivs(profile, ent, i1, i2)
+    return zeta_derivs_batch(profile, [psi])[0]
 
 
 @dataclass(frozen=True)
@@ -427,30 +441,26 @@ class TransitionEval:
     zeta_second_err: float | None = None
 
 
+def evaluate_batch(
+    profile: SurfaceProfile, psi, with_derivs: bool = True
+) -> list[TransitionEval]:
+    """evaluate at each entry angle in psi, all the integrals from one
+    engine pass per side."""
+    which = ("zeta", "upsilon0") + (("dzeta", "d2zeta") if with_derivs else ())
+    ents, ints = _rows(profile, psi, which)
+    out = []
+    for ent, ((z, ze), (up, ue), *d) in zip(ents, ints):
+        # TransitionDerivs' fields are TransitionEval's last four
+        derivs = vars(_derivs(profile, ent, *d)) if with_derivs else {}
+        out.append(TransitionEval(ent.psi, ent.c, ent.klass, z, up, ze, ue, **derivs))
+    return out
+
+
 def evaluate(
     profile: SurfaceProfile, psi: float, with_derivs: bool = True
 ) -> TransitionEval:
     """The transition data at psi, all its integrals from one engine pass."""
-    which = ("zeta", "upsilon0") + (("dzeta", "d2zeta") if with_derivs else ())
-    ent, ints = _row(profile, psi, which)
-    (z, ze), (up, ue) = ints[:2]
-    zp = zpe = zs = zse = None
-    if with_derivs:
-        d = _derivs(profile, ent, *ints[2:])
-        zp, zpe, zs, zse = d.zeta_prime, d.zeta_prime_err, d.zeta_second, d.zeta_second_err
-    return TransitionEval(
-        psi=psi,
-        c=ent.c,
-        klass=ent.klass,
-        zeta=z,
-        upsilon0=up,
-        zeta_err=ze,
-        upsilon0_err=ue,
-        zeta_prime=zp,
-        zeta_prime_err=zpe,
-        zeta_second=zs,
-        zeta_second_err=zse,
-    )
+    return evaluate_batch(profile, [psi], with_derivs)[0]
 
 
 def apply_f0(profile: SurfaceProfile, state) -> "GeodesicState":
@@ -506,28 +516,29 @@ def tabulate_bands(
     sides=bands.SIDES,
     n0: int = bands.DEFAULT_N0,
 ) -> list[dict]:
-    """Transition-map table at band midpoints: one row per (n, side)."""
+    """Transition-map table at band midpoints: one row per (n, side), from
+    one evaluate_batch pass, its keys in the scaling suite's column order
+    and err_est last."""
+    keys = [(int(n), side) for n in n_values for side in sides]
+    psi = [bands.band_midpoint(profile, n, side, n0)[1] for n, side in keys]
     rows = []
-    for n in n_values:
-        for side in sides:
-            _, psi_mid = bands.band_midpoint(profile, n, side, n0)
-            ev = evaluate(profile, psi_mid)
-            rel = max(
-                ev.zeta_err / ev.zeta,
-                ev.upsilon0_err / ev.upsilon0,
-                (ev.zeta_prime_err / abs(ev.zeta_prime)) if ev.zeta_prime else 0.0,
-            )
-            rows.append(
-                {
-                    "n": n,
-                    "side": side,
-                    "psi_mid": psi_mid,
-                    "c": ev.c,
-                    "zeta": ev.zeta,
-                    "upsilon0": ev.upsilon0,
-                    "zeta_prime": ev.zeta_prime,
-                    "zeta_second": ev.zeta_second,
-                    "err_est": rel,
-                }
-            )
+    for (n, side), ev in zip(keys, evaluate_batch(profile, psi)):
+        rel = max(
+            ev.zeta_err / ev.zeta,
+            ev.upsilon0_err / ev.upsilon0,
+            (ev.zeta_prime_err / abs(ev.zeta_prime)) if ev.zeta_prime else 0.0,
+        )
+        rows.append(
+            {
+                "n": n,
+                "side": side,
+                "psi_mid": ev.psi,
+                "c": ev.c,
+                "upsilon0": ev.upsilon0,
+                "zeta": ev.zeta,
+                "zeta_prime": ev.zeta_prime,
+                "zeta_second": ev.zeta_second,
+                "err_est": rel,
+            }
+        )
     return rows

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 import _oracles as orc
-from neckflow import transition
+from neckflow import acceptance, asymptotics, transition
 from neckflow.asymptotics import (
     MODEL_TRIPLES,
     empirical_ratio,
     finite_model_integral,
     fit_exponent,
+    limit_constant,
     limit_constant_c1,
     limit_constant_c2,
+    model_table,
     model_triples,
     predicted_exponent,
 )
@@ -75,7 +77,7 @@ def test_kind_1a_frozen_ratio():
 
 
 def test_kind_1a_ratio_approaches_one():
-    ratios = empirical_ratio("1a", 4.0, 1.5, [1e-3, 1e-5, 1e-7], eps=1.0)
+    _, ratios = empirical_ratio("1a", 4.0, 1.5, [1e-3, 1e-5, 1e-7], eps=1.0)
     err = np.abs(ratios - 1.0)
     assert err[0] > err[1] > err[2]
     assert err[2] < 1e-3
@@ -83,7 +85,7 @@ def test_kind_1a_ratio_approaches_one():
 
 def test_kind_2_ratios_approach_one():
     for kind in ("2a", "2b"):
-        ratios = empirical_ratio(
+        _, ratios = empirical_ratio(
             kind, 4.0, 1.5, [1e-2, 1e-3, 1e-4], eps=1.0, q=3.0, beta=1.0
         )
         err = np.abs(ratios - 1.0)
@@ -133,14 +135,35 @@ def test_finite_model_rows_are_batch_invariant(r):
 
 
 def test_empirical_ratio_row_matches_one_scale_call():
-    # the asymptotics table's smallest scale against criterion 7's one-b call
-    for kind, alpha, beta, q in model_triples(4.0):
+    # each triple's floor row of the model table (criterion 7 reads it)
+    # against a one-b call and a separate limit constant
+    rows = model_table(4.0)
+    assert len(rows) == 5 * len(MODEL_TRIPLES)
+    for k, (kind, alpha, beta, q) in enumerate(model_triples(4.0)):
+        floor = rows[5 * k + 4]
         b = 1e-6 if kind == "1a" else 1e-4
-        table = empirical_ratio(
-            kind, 4.0, alpha, np.geomspace(1e-2, b, 5), eps=2.0, q=q, beta=beta
-        )
-        one = empirical_ratio(kind, 4.0, alpha, [b], eps=2.0, q=q, beta=beta)
-        assert one.shape == (1,) and one[0] == table[-1]
+        c, one = empirical_ratio(kind, 4.0, alpha, [b], eps=2.0, q=q, beta=beta)
+        assert one.shape == (1,)
+        assert (floor["kind"], floor["alpha"], floor["beta"], floor["q"]) == (kind, alpha, beta, q)
+        assert floor["b"] == b and floor["ratio"] == one[0]
+        assert floor["limit_constant"] == c == limit_constant(kind, 4.0, alpha, q=q, beta=beta)
+
+
+def test_model_table_integrates_each_constant_once(monkeypatch):
+    calls = []
+    original = asymptotics.limit_constant
+
+    def spy(*args, **kwargs):
+        calls.append(args[:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "limit_constant", spy)
+    rows = asymptotics.model_table(6.0)
+    assert len(calls) == len(set(calls)) == len(MODEL_TRIPLES)
+    assert len({row["limit_constant"] for row in rows}) == len(MODEL_TRIPLES)
+    calls.clear()
+    assert acceptance.criterion_7_model_integrals().passed
+    assert len(calls) == len(MODEL_TRIPLES)
 
 
 @pytest.mark.parametrize(

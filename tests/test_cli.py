@@ -215,6 +215,22 @@ def test_asymptotics_rows_follow_model_triples(capsys):
             assert line.split(",")[:4] == [kind, repr(alpha), repr(beta), repr(q)]
 
 
+def test_scaling_csv_header_order(capsys):
+    code, out, _ = run(["scaling", "--n-max", "200", "--format", "csv"], capsys)
+    assert code == 0
+    assert out.split("\n", 1)[0] == (
+        "n,side,psi_mid,c,upsilon0,zeta,zeta_prime,zeta_second,growth_0,growth_p1,growth_m1"
+    )
+
+
+def test_tails_at_grazing_window_edge(capsys):
+    # band 32's bouncing edge is the grazing angle psi = 0 at r=10, eps0=0.5
+    argv = ["tails", "--r", "10", "--eps0", "0.5", "--n0", "32", "--samples", "100000"]
+    code, out, err = run(argv, capsys)
+    assert code == 0, err
+    assert json.loads(out)["tables"]["exponent"] > 2.0
+
+
 def test_report_single_criterion(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, out, _ = run(["report", "--only", "8", "--out", str(out_file)], capsys)

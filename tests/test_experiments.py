@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import _oracles as orc
 from neckflow import experiments, transition
-from neckflow.bands import band_midpoint
+from neckflow.bands import band_boundaries, band_midpoint, band_range
 from neckflow.errors import AccuracyError
 from neckflow.experiments import (
     ExperimentConfig,
@@ -371,6 +371,77 @@ def test_distortion_suite_flat_trend(prof4):
     ms = [row["m_n"] for row in res.rows]
     assert all(1.0 <= m <= 5.0 for m in ms)
     assert abs(res.fits["m_n_trend"].exponent) <= 0.1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(
+            lambda: transition.tabulate_bands(SurfaceProfile(r=6.0, eps0=2.0), (12, 24, 48)),
+            id="tabulate_bands",
+        ),
+        pytest.param(
+            lambda: scaling_suite(ExperimentConfig(r=4.0, n_min=25, n_max=200), n_points=6),
+            id="scaling_suite",
+        ),
+        pytest.param(
+            lambda: distortion_suite(ExperimentConfig(r=4.0, n_min=25, n_max=100)),
+            id="distortion_suite",
+        ),
+        pytest.param(
+            lambda: default_thresholds(SurfaceProfile(r=4.0, eps0=1.0)),
+            id="default_thresholds",
+        ),
+    ],
+)
+def test_one_engine_pass_per_side_and_level(build, monkeypatch):
+    passes = []  # (side, nodes per panel) of every engine pass
+    blocked = transition._blocked
+
+    def spy(side, profile, u, which, n):
+        passes.append((side.__name__, n))
+        return blocked(side, profile, u, which, n)
+
+    monkeypatch.setattr(transition, "_blocked", spy)
+    build()
+    assert ("_crossing", 32) in passes
+    assert len(passes) == len(set(passes))
+
+
+def test_suite_rows_match_one_row_calls(prof4):
+    cfg = ExperimentConfig(r=4.0, n_min=25, n_max=200)
+    suite = scaling_suite(cfg, n_points=6)
+    table = transition.tabulate_bands(prof4, band_range(25, 200, 6))
+    for row, want in zip(suite.rows, table, strict=True):
+        del want["err_est"]
+        assert {key: row[key] for key in want} == want
+        for tag, slope in (("0", 0.0), ("p1", 1.0), ("m1", -1.0)):
+            assert row[f"growth_{tag}"] == transition.growth_factor(prof4, row["psi_mid"], slope)
+    # the distortion suite's angles, one zeta_derivs_batch call
+    psi = []
+    for n in band_range(25, 100, 10):
+        for side in ("bouncing", "crossing"):
+            _, (lo, hi) = band_boundaries(prof4, n, side)
+            psi += [lo + frac * (hi - lo) for frac in experiments._DISTORTION_OFFSETS]
+    batch = transition.zeta_derivs_batch(prof4, psi)
+    assert batch == [transition.zeta_derivs(prof4, p) for p in psi]
+    thr = default_thresholds(prof4)
+    ns = band_range(50, 1200, 9)
+    assert thr.tolist() == [
+        2.0 * upsilon0(prof4, band_midpoint(prof4, n, "crossing")[1]) for n in ns
+    ]
+
+
+def test_grazing_window_edge_is_zero():
+    # at r=10, eps0=0.5 band 32's outer edge c = 1 + 2^-10 is xi(eps0)
+    # itself, so the bouncing window edge is the grazing angle psi = 0
+    prof = SurfaceProfile(r=10.0, eps0=0.5)
+    window = entry_window(prof, 32)
+    assert window[0] == 0.0
+    which = ("upsilon0", "zeta", "dzeta", "d2zeta")
+    assert (transition.excursion_integrals(prof, [0.0, 0.0], which) == 0.0).all()
+    brackets = _survivor_brackets(prof, window, default_thresholds(prof, 32, n_hi=200))
+    assert np.isfinite(brackets.outer).all()
 
 
 def test_experiment_config_roundtrip():

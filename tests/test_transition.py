@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import _oracles as orc
 from neckflow import transition
-from neckflow.bands import band_midpoint
+from neckflow.bands import band_midpoint, band_range
 from neckflow.dynamics import GeodesicState, neck_transit
 from neckflow.errors import AccuracyError, AsymptoticEntryError
 from neckflow.experiments import upsilon0_batch
@@ -338,6 +338,27 @@ def test_tabulate_bands_schema(prof4):
         assert row["n"] in (12, 24)
         assert row["zeta"] > 0.0 and row["upsilon0"] > 0.0
         assert math.isfinite(row["zeta_prime"])
+
+
+@pytest.mark.parametrize("r, eps0", [(4.0, 1.0), (6.0, 2.0), (10.0, 1.5)])
+def test_table_rows_match_one_row_calls(r, eps0):
+    # at eps0 = 2 and 1.5 some rows on both sides are redone at 64 nodes
+    prof = SurfaceProfile(r=r, eps0=eps0)
+    ns = band_range(25, 3200)
+    rows = tabulate_bands(prof, ns)
+    assert [(row["n"], row["side"]) for row in rows] == [
+        (n, side) for n in ns for side in ("bouncing", "crossing")
+    ]
+    for row in rows:
+        psi = row["psi_mid"]
+        assert psi == band_midpoint(prof, row["n"], row["side"])[1]
+        ev = evaluate(prof, psi)
+        d = zeta_derivs(prof, psi)
+        assert row["c"] == ev.c
+        assert row["zeta"] == ev.zeta == zeta(prof, psi)
+        assert row["upsilon0"] == ev.upsilon0 == upsilon0(prof, psi)
+        assert row["zeta_prime"] == ev.zeta_prime == d.zeta_prime
+        assert row["zeta_second"] == ev.zeta_second == d.zeta_second
 
 
 def test_zeta_prime_scale_tracks_band_cube(prof4):
