@@ -19,9 +19,9 @@ bracket are integrated.
 The scaling suite reads its rows from transition.tabulate_bands and adds
 the growth factors; the distortion suite takes zeta' at every in-band
 offset from one transition.zeta_derivs_batch call; default_thresholds makes
-one upsilon0_batch call.  Each is one engine pass per side (plus the redo
-level), and a row gets the bits the one-row transition.evaluate,
-zeta_derivs or upsilon0 gives it.
+one upsilon0_batch call.  Each is one array pass (see transition), with one
+engine pass per side plus the redo level, and a row gets the bits the
+one-row transition.evaluate, zeta_derivs or upsilon0 gives it.
 """
 
 from __future__ import annotations

@@ -40,7 +40,10 @@ embedded lower-order rule gives every (row, integrand) an error estimate:
 one above the 1e-9 relative ceiling is redone at twice the nodes, and one
 still above it raises AccuracyError, so no degraded number is returned.  A
 value depends only on its entry angle and its integrand, never on what else
-was integrated with it.
+was integrated with it.  Angles become rows in one pass: one array check of
+all angles, one engine pass per side, one bouncing boundary evaluation for
+all rows, and zeta', zeta'' from these per row in floats; entry_data,
+evaluate, zeta_derivs, zeta and upsilon0 are its one-row case.
 """
 
 from __future__ import annotations
@@ -63,6 +66,9 @@ _ERR_CEILING = 1e-9  # certified relative accuracy of every returned value
 _BLOCK_ROWS = 176  # rows per pass, so memory does not grow with the batch
 _LABELS = {"upsilon0": "Upsilon0", "zeta": "zeta", "dzeta": "zeta'", "d2zeta": "zeta''"}
 _LABELS["model"] = "model"  # asymptotics' model integrals, on the same engine
+_KLASS = {True: TrajectoryClass.BOUNCING, False: TrajectoryClass.CROSSING}
+_DERIVS = ("dzeta", "d2zeta")  # which ends with these to get zeta' and zeta''
+_TABLE_KEYS = "n side psi_mid c upsilon0 zeta zeta_prime zeta_second err_est".split()
 
 
 @dataclass(frozen=True)
@@ -93,19 +99,49 @@ def entry_scales(profile: SurfaceProfile, psi: np.ndarray):
     return np.abs(cm1), cm1 > 0.0
 
 
+def _checked_scales(profile: SurfaceProfile, psi: np.ndarray, names=None):
+    """(u, bouncing mask, c) of an array of entry angles, each checked to
+    lie in (0, pi/2) and not to be asymptotic; the error names the first bad
+    angle, and its names[k] if names is given."""
+    u, bounce = entry_scales(profile, psi)
+    ok = (psi > 0.0) & (psi < 0.5 * math.pi) & (psi != profile.asymptotic_angle()) & (u > 0.0)
+    if np.count_nonzero(ok) < ok.size:
+        k = int(np.argmin(ok))
+        at = _row_name(k, "psi", psi, names)
+        if not 0.0 < psi[k] < 0.5 * math.pi:
+            raise ValueError(f"entry angle must lie in (0, pi/2), got {at}")
+        raise AsymptoticEntryError(f"entry angle {at} is asymptotic (c = 1)")
+    return u, bounce, np.where(bounce, 1.0 + u, 1.0 - u)
+
+
+def _row_name(k: int, key: str, values, names=None) -> str:
+    """key=value of row k, followed by names[k] in brackets if names is given."""
+    return f"{key}={float(values[k])!r}" + (f" ({names[k]})" if names else "")
+
+
+def _certify(whats, rel: np.ndarray, key: str, values, names=None) -> None:
+    """Raise AccuracyError if a relative error estimate rel[i, k] of
+    quantity whats[i] at row k is above the 1e-9 ceiling, naming the worst
+    (a NaN counts as worst) and its row (see _row_name)."""
+    if np.count_nonzero(rel <= _ERR_CEILING) < rel.size:
+        i, k = np.unravel_index(np.argmax(np.where(np.isnan(rel), np.inf, rel)), rel.shape)
+        worst = float(rel[i, k])
+        at = _row_name(k, key, values, names)
+        msg = f"{whats[i]} at {at}: relative error estimate {worst:.3e}, above the 1e-9 ceiling"
+        raise AccuracyError(msg, achieved=worst)
+
+
 def entry_data(profile: SurfaceProfile, psi: float) -> EntryData:
-    """entry_scales of one angle, checked to be a non-asymptotic entry."""
-    if not 0.0 < psi < 0.5 * math.pi:
-        raise ValueError(f"entry angle must lie in (0, pi/2), got {psi}")
-    if psi == profile.asymptotic_angle():
-        raise AsymptoticEntryError("entry angle equals the asymptotic angle")
-    (u,), (bounce,) = entry_scales(profile, np.array([psi]))
-    if u == 0.0:
-        raise AsymptoticEntryError("entry is exactly asymptotic (c = 1)")
-    u = float(u)
-    if bounce:
-        return EntryData(psi=psi, c=1.0 + u, u=u, klass=TrajectoryClass.BOUNCING)
-    return EntryData(psi=psi, c=1.0 - u, u=u, klass=TrajectoryClass.CROSSING)
+    """_checked_scales of one angle, as Clairaut data."""
+    (u,), (bounce,), (c,) = _checked_scales(profile, np.array([psi]))
+    return EntryData(psi=psi, c=float(c), u=float(u), klass=_KLASS[bool(bounce)])
+
+
+def _turning(r: float, u):
+    """(y, dy/du, d2y/du2) of the turning radius y = u^(1/r) of gaps u."""
+    y = u ** (1.0 / r)
+    y1 = y / (r * u)
+    return y, y1, y1 * (1.0 / r - 1.0) / u
 
 
 def _bouncing(profile: SurfaceProfile, u: np.ndarray):
@@ -119,12 +155,10 @@ def _bouncing(profile: SurfaceProfile, u: np.ndarray):
     d(xi-c)/du = expm1((r-1) log1p(w^2/y)) and d(xi+c)/du is that plus 2.
     """
     r, eps0 = profile.r, profile.eps0
-    y = u ** (1.0 / r)
+    y, y1, y2 = _turning(r, u)
     q = y**r  # equals u to rounding; keeps xi-c internally consistent
     c, r1 = 1.0 + u, r - 1.0
     ic = 1.0 / c
-    y1 = y / (r * u)  # dy/du
-    y2 = y1 * (1.0 / r - 1.0) / u
 
     def f(w, which):
         ww = w * w
@@ -152,6 +186,8 @@ def _bouncing(profile: SurfaceProfile, u: np.ndarray):
         h = a1 - b1  # d/ds log(g/xi)
         lf = ic + y1 * h - 0.5 * (pm + pp)
         out["dzeta"] = fz * lf
+        if "d2zeta" not in which:
+            return out
         d = -r1 * y1 / y * (1.0 + dm) * x / (1.0 + x)  # d(dm)/du
         hs = (xpp * xpp + (r - 2.0) * xp * xpp / s) / (g * g) - 2.0 * a1 * a1
         hs += b1 * b1 - xpp / xi  # dh/ds
@@ -168,7 +204,7 @@ def _crossing(profile: SurfaceProfile, u: np.ndarray):
     in s on [0, b = eps0], split at the spike width a = min(u^(1/r), b/2).
 
     f(s, which) maps each name in which to its integrand on s: "upsilon0",
-    "zeta", and the derivative integrands of _crossing_derivs, "dzeta" and
+    "zeta", and the derivative integrands of _crossing_chain, "dzeta" and
     "d2zeta".
     """
     r, eps0 = profile.r, profile.eps0
@@ -253,24 +289,26 @@ def _blocked(side, profile: SurfaceProfile, u: np.ndarray, which, n: int) -> np.
 
 def _integrate(side, profile: SurfaceProfile, u: np.ndarray, which, nodes: int):
     """_blocked at nodes // 2 nodes per panel, then each (row, integrand)
-    above the ceiling redone at nodes; AccuracyError if one still is.  The
-    row maker side(profile, column of u) gives _graded_panels' (f, a, b)."""
+    above the ceiling redone at nodes; AccuracyError, naming the worst row's
+    u (a model row's scale), if one still is.  The row maker side(profile,
+    column of u) gives _graded_panels' (f, a, b)."""
     res = _blocked(side, profile, u, which, nodes // 2)
     redo = ~(res[1] / np.abs(res[0]) <= _ERR_CEILING)  # a NaN estimate is redone too
     rows = redo.any(axis=0)
     if rows.any():
         fine = _blocked(side, profile, u[rows], which, nodes)
         res[:, :, rows] = np.where(redo[:, rows], fine, res[:, :, rows])
-        rel = res[1] / np.abs(res[0])
-        for k, key in enumerate(which):
-            worst = float(np.max(rel[k, redo[k]], initial=0.0))
-            if not worst <= _ERR_CEILING:
-                raise AccuracyError(
-                    f"{_LABELS[key]} integral: relative error estimate {worst:.3e} "
-                    f"at {nodes} nodes per panel, above the 1e-9 ceiling",
-                    achieved=worst,
-                )
+        whats = [f"{_LABELS[key]} integral with {nodes} nodes per panel" for key in which]
+        _certify(whats, res[1] / np.abs(res[0]), "scale" if "model" in which else "u", u)
     return res
+
+
+def _sides(profile: SurfaceProfile, u, masks, which, nodes: int):
+    """(side, rows, _integrate's result) for the bouncing rows masks[0] and
+    then the crossing rows masks[1] of u, one pass per side that has rows."""
+    for side, rows in zip((_bouncing, _crossing), masks):
+        if np.count_nonzero(rows):
+            yield side, rows, _integrate(side, profile, u[rows], which, nodes)
 
 
 def excursion_integrals(
@@ -280,7 +318,7 @@ def excursion_integrals(
     each entry angle, shape (2, len(which)) + psi.shape.
 
     The names are "upsilon0", "zeta", and the side's derivative integrands
-    "dzeta" and "d2zeta" (see _bouncing_derivs and _crossing_derivs).  An
+    "dzeta" and "d2zeta" (see _bouncing_chain and _crossing_chain).  An
     exactly asymptotic angle (u = 0) gets inf and a grazing one (psi = 0,
     never inside the neck) 0, each with the estimate 0.
     """
@@ -289,51 +327,14 @@ def excursion_integrals(
     res = np.zeros((2, len(which)) + psi.shape)
     res[0] = np.where(psi == 0.0, 0.0, np.inf)
     inside = (u > 0.0) & (psi != 0.0)
-    for rows, side in ((bounce & inside, _bouncing), (~bounce & inside, _crossing)):
-        res[:, :, rows] = _integrate(side, profile, u[rows], which, nodes)
+    for _, rows, part in _sides(profile, u, (bounce & inside, ~bounce & inside), which, nodes):
+        res[:, :, rows] = part
     return res
 
 
-def _rows(profile: SurfaceProfile, psi, which):
-    """(entry_data of each angle in psi, its [value, error estimate] per
-    name in which), the integrals from one _integrate pass per side."""
-    ents = [entry_data(profile, p) for p in psi]
-    out = [None] * len(ents)
-    sides = ((_bouncing, TrajectoryClass.BOUNCING), (_crossing, TrajectoryClass.CROSSING))
-    for side, klass in sides:
-        idx = [i for i, ent in enumerate(ents) if ent.klass is klass]
-        if idx:
-            res = _integrate(side, profile, np.array([ents[i].u for i in idx]), which, _GL_NODES)
-            for i, row in zip(idx, res.T.tolist()):
-                out[i] = row
-    return ents, out
-
-
-def zeta(profile: SurfaceProfile, psi: float) -> float:
-    """Total angular advance of one excursion entering at angle psi.
-
-    Diverges (through the band structure) as psi approaches the asymptotic
-    angle from either side, and vanishes linearly in c as psi -> pi/2.
-    """
-    return _rows(profile, [psi], ("zeta",))[1][0][0][0]
-
-
-def upsilon0(profile: SurfaceProfile, psi: float) -> float:
-    """Half transit time of one excursion entering at angle psi."""
-    return _rows(profile, [psi], ("upsilon0",))[1][0][0][0]
-
-
-@dataclass(frozen=True)
-class TransitionDerivs:
-    zeta_prime: float
-    zeta_prime_err: float
-    zeta_second: float
-    zeta_second_err: float
-
-
-def _crossing_derivs(profile: SurfaceProfile, ent: EntryData, i1, i2) -> TransitionDerivs:
-    """zeta' and zeta'' of a crossing entry from its (integral, estimate)
-    pairs i1 and i2 of the "dzeta" and "d2zeta" integrands.
+def _crossing_chain(profile: SurfaceProfile, psi, u, ints):
+    """(zeta', zeta'', their estimates) of each crossing row, from ints,
+    [[values], [estimates]] of their "dzeta" and "d2zeta" integrands.
 
     With a = 1+eps0^r and A(s) = sqrt(1+xi'^2)/xi:
 
@@ -345,75 +346,90 @@ def _crossing_derivs(profile: SurfaceProfile, ent: EntryData, i1, i2) -> Transit
     3a^2 sin^2 psi + a^2 cos^2 psi - xi^2 = 3(a^2-c^2) - (xi^2-c^2)).  Both
     factors are positive for psi in (0, pi/2), and scale the estimates too.
     """
-    k1 = 2.0 * profile.boundary_radius * math.sin(ent.psi)
-    k2 = 2.0 * profile.boundary_radius * math.cos(ent.psi)
-    return TransitionDerivs(
-        zeta_prime=-k1 * i1[0],
-        zeta_prime_err=k1 * i1[1],
-        zeta_second=k2 * i2[0],
-        zeta_second_err=k2 * i2[1],
-    )
+    a2 = 2.0 * profile.boundary_radius
+    for p, i1, i2, e1, e2 in zip(psi.tolist(), *ints[0].tolist(), *ints[1].tolist()):
+        k1, k2 = a2 * math.sin(p), a2 * math.cos(p)
+        yield -k1 * i1, k2 * i2, k1 * e1, k2 * e2
 
 
-def _bouncing_derivs(profile: SurfaceProfile, ent: EntryData, i1, i2) -> TransitionDerivs:
-    """zeta' and zeta'' of a bouncing entry by Leibniz's rule, from its
-    (integral, estimate) pairs i1 and i2 of the "dzeta" and "d2zeta"
+def _bouncing_chain(profile: SurfaceProfile, psi, u, ints):
+    """(zeta', zeta'', their estimates) of each bouncing row by Leibniz's
+    rule, from ints, [[values], [estimates]] of their "dzeta" and "d2zeta"
     integrands.
 
     zeta(u) = int_0^W F dw has the moving limit W = sqrt(eps0 - y), so with
     B = F(W) dW/du, dzeta/du = int F L dw + B and d2zeta/du2 =
     int F (L^2 + dL/du) dw + (F L)(W) dW/du + dB/du, the integrands being
     those of _bouncing.  B and dB/du are closed form, since s = eps0 at
-    w = W; du/dpsi = -a sin(psi) turns these into zeta', zeta''.
+    w = W; (F L)(W) is one evaluation of the integrand for all rows.
+    du/dpsi = -a sin(psi) turns these into zeta', zeta''.  Both chains run
+    row by row in floats: as numpy calls they made a one-row table ~10%
+    slower (2-core x86_64), and tables have few rows per side.
     """
-    r, a, u, c, psi = profile.r, profile.boundary_radius, ent.u, ent.c, ent.psi
-    f, _, top = _bouncing(profile, np.array([[u]]))
-    fl_top = float(f(top, ("dzeta",))["dzeta"][0, 0])  # (F L)(W)
-    y = u ** (1.0 / r)
-    y1 = y / (r * u)  # dy/du and d2y/du2, as in _bouncing
-    y2 = y1 * (1.0 / r - 1.0) / u
-    root = math.sqrt((a - c) * (a + c))  # sqrt(xi^2 - c^2) at s = eps0
+    r, a = profile.r, profile.boundary_radius
+    f, _, top = _bouncing(profile, u[:, None])
+    fl_top = f(top, ("dzeta",))["dzeta"][:, 0]  # (F L)(W)
+    _, y1, y2 = _turning(r, u)
     g0 = math.sqrt(1.0 + (r * profile.eps0 ** (r - 1.0)) ** 2)
-    b = -2.0 * c * g0 * y1 / (a * root)
-    db = -2.0 * g0 / a * (y1 / root + c * y2 / root + c * c * y1 / root**3)
-    z1 = i1[0] + b
-    z2 = i2[0] - fl_top * y1 / (2.0 * float(top[0, 0])) + db
-    k = a * math.sin(psi)  # -du/dpsi
-    return TransitionDerivs(
-        zeta_prime=-k * z1,
-        zeta_prime_err=k * i1[1],
-        zeta_second=k * k * z2 - a * math.cos(psi) * z1,
-        zeta_second_err=k * k * i2[1] + a * math.cos(psi) * i1[1],
-    )
+    cols = (psi, u, y1, y2, fl_top, top[:, 0], *ints[0], *ints[1])
+    for p, u, y1, y2, fl_top, top, i1, i2, e1, e2 in zip(*(col.tolist() for col in cols)):
+        c = 1.0 + u
+        root = math.sqrt((a - c) * (a + c))  # sqrt(xi^2 - c^2) at s = eps0
+        b = -2.0 * c * g0 * y1 / (a * root)
+        db = -2.0 * g0 / a * (y1 / root + c * y2 / root + c * c * y1 / root**3)
+        z1 = i1 + b
+        z2 = i2 - fl_top * y1 / (2.0 * top) + db
+        k, kc = a * math.sin(p), a * math.cos(p)  # -du/dpsi and -d2u/dpsi2
+        yield -k * z1, k * k * z2 - kc * z1, k * e1, k * k * e2 + kc * e1
 
 
-def _derivs(profile: SurfaceProfile, ent: EntryData, i1, i2) -> TransitionDerivs:
-    """zeta' and zeta'' from the derivative integrals; raises AccuracyError
-    if either error estimate exceeds 1e-9 relative."""
-    if ent.klass is TrajectoryClass.CROSSING:
-        d = _crossing_derivs(profile, ent, i1, i2)
-    else:
-        d = _bouncing_derivs(profile, ent, i1, i2)
-    _certified("zeta'", d.zeta_prime, d.zeta_prime_err)
-    _certified("zeta''", d.zeta_second, d.zeta_second_err)
-    return d
+def _rows(profile: SurfaceProfile, psi, which, names=None):
+    """(psi, c, bouncing mask, [values, estimates] per name in which, shape
+    (2, len(which), rows)) of the entry angles psi, checked by
+    _checked_scales, from one _integrate pass per side.  If which ends with
+    _DERIVS, each side's chain rule turns their slots into zeta' and zeta'',
+    certified to the 1e-9 ceiling; an error names the row's psi and names[k]."""
+    psi = np.array(psi, dtype=float)
+    u, bounce, c = _checked_scales(profile, psi, names)
+    res = np.empty((2, len(which), psi.size))
+    derivs = which[-2:] == _DERIVS
+    for side, rows, part in _sides(profile, u, (bounce, ~bounce), which, _GL_NODES):
+        if derivs:
+            chain = _bouncing_chain if side is _bouncing else _crossing_chain
+            zp, zs, zpe, zse = zip(*chain(profile, psi[rows], u[rows], part[:, -2:]))
+            part[:, -2:] = [[zp, zs], [zpe, zse]]
+        res[:, :, rows] = part
+    if derivs:
+        _certify(("zeta'", "zeta''"), res[1, -2:] / np.abs(res[0, -2:]), "psi", psi, names)
+    return psi, c, bounce, res
 
 
-def _certified(what: str, val: float, err: float) -> None:
-    """Raise AccuracyError unless err is within the 1e-9 relative ceiling."""
-    if not err <= _ERR_CEILING * abs(val):
-        raise AccuracyError(
-            f"{what} achieved {err:.3e} (relative "
-            f"{err / abs(val):.3e}), above the 1e-9 ceiling",
-            achieved=err / abs(val),
-        )
+def zeta(profile: SurfaceProfile, psi: float) -> float:
+    """Total angular advance of one excursion entering at angle psi.
+
+    Diverges (through the band structure) as psi approaches the asymptotic
+    angle from either side, and vanishes linearly in c as psi -> pi/2.
+    """
+    return float(_rows(profile, [psi], ("zeta",))[3][0, 0, 0])
+
+
+def upsilon0(profile: SurfaceProfile, psi: float) -> float:
+    """Half transit time of one excursion entering at angle psi."""
+    return float(_rows(profile, [psi], ("upsilon0",))[3][0, 0, 0])
+
+
+@dataclass(frozen=True)
+class TransitionDerivs:
+    zeta_prime: float
+    zeta_prime_err: float
+    zeta_second: float
+    zeta_second_err: float
 
 
 def zeta_derivs_batch(profile: SurfaceProfile, psi) -> list[TransitionDerivs]:
-    """zeta_derivs of each entry angle in psi, the integrals from one
-    engine pass per side."""
-    ents, ints = _rows(profile, psi, ("dzeta", "d2zeta"))
-    return [_derivs(profile, ent, *row) for ent, row in zip(ents, ints)]
+    """zeta_derivs of each entry angle in psi, from one array pass."""
+    (zp, zs), (zpe, zse) = _rows(profile, psi, _DERIVS)[3].tolist()
+    return [TransitionDerivs(*row) for row in zip(zp, zpe, zs, zse)]
 
 
 def zeta_derivs(profile: SurfaceProfile, psi: float) -> TransitionDerivs:
@@ -444,16 +460,13 @@ class TransitionEval:
 def evaluate_batch(
     profile: SurfaceProfile, psi, with_derivs: bool = True
 ) -> list[TransitionEval]:
-    """evaluate at each entry angle in psi, all the integrals from one
-    engine pass per side."""
-    which = ("zeta", "upsilon0") + (("dzeta", "d2zeta") if with_derivs else ())
-    ents, ints = _rows(profile, psi, which)
-    out = []
-    for ent, ((z, ze), (up, ue), *d) in zip(ents, ints):
-        # TransitionDerivs' fields are TransitionEval's last four
-        derivs = vars(_derivs(profile, ent, *d)) if with_derivs else {}
-        out.append(TransitionEval(ent.psi, ent.c, ent.klass, z, up, ze, ue, **derivs))
-    return out
+    """evaluate at each entry angle in psi, from one array pass."""
+    which = ("zeta", "upsilon0") + (_DERIVS if with_derivs else ())
+    psi, c, bounce, res = _rows(profile, psi, which)
+    (z, up, *d), (ze, ue, *de) = res.tolist()
+    derivs = [d[0], de[0], d[1], de[1]] if with_derivs else []  # as in TransitionDerivs
+    cols = zip(psi.tolist(), c.tolist(), map(_KLASS.get, bounce.tolist()), z, up, ze, ue, *derivs)
+    return [TransitionEval(*row) for row in cols]
 
 
 def evaluate(
@@ -475,9 +488,9 @@ def apply_f0(profile: SurfaceProfile, state) -> "GeodesicState":
 
     if abs(state.s + profile.eps0) > 1e-12 * max(1.0, profile.eps0):
         raise ValueError(f"entry must sit on s = -eps0, got s={state.s}")
-    ent = entry_data(profile, state.psi)
-    dtheta = math.copysign(zeta(profile, state.psi), ent.c)
-    if ent.klass is TrajectoryClass.BOUNCING:
+    _, (c,), (bounce,), res = _rows(profile, [state.psi], ("zeta",))
+    dtheta = math.copysign(float(res[0, 0, 0]), c)
+    if bounce:
         return GeodesicState(s=-profile.eps0, theta=state.theta + dtheta, psi=-state.psi)
     return GeodesicState(s=profile.eps0, theta=state.theta + dtheta, psi=state.psi)
 
@@ -488,10 +501,8 @@ def df0(profile: SurfaceProfile, psi: float) -> np.ndarray:
     The lower-right entry is -1 for bouncing (the psi reflection) and +1
     for crossing; |det| = 1 always.
     """
-    ent = entry_data(profile, psi)
-    d = zeta_derivs(profile, psi)
-    sign = -1.0 if ent.klass is TrajectoryClass.BOUNCING else 1.0
-    return np.array([[1.0, d.zeta_prime], [0.0, sign]])
+    _, _, (bounce,), res = _rows(profile, [psi], _DERIVS)
+    return np.array([[1.0, res[0, 0, 0]], [0.0, -1.0 if bounce else 1.0]])
 
 
 def growth_factor(
@@ -516,29 +527,14 @@ def tabulate_bands(
     sides=bands.SIDES,
     n0: int = bands.DEFAULT_N0,
 ) -> list[dict]:
-    """Transition-map table at band midpoints: one row per (n, side), from
-    one evaluate_batch pass, its keys in the scaling suite's column order
-    and err_est last."""
+    """Transition-map table at band midpoints: one row per (n, side) from one
+    pass, keyed by _TABLE_KEYS (the scaling suite's columns, then err_est, the
+    worst relative estimate of zeta, Upsilon0 and zeta'); errors name the band."""
     keys = [(int(n), side) for n in n_values for side in sides]
     psi = [bands.band_midpoint(profile, n, side, n0)[1] for n, side in keys]
-    rows = []
-    for (n, side), ev in zip(keys, evaluate_batch(profile, psi)):
-        rel = max(
-            ev.zeta_err / ev.zeta,
-            ev.upsilon0_err / ev.upsilon0,
-            (ev.zeta_prime_err / abs(ev.zeta_prime)) if ev.zeta_prime else 0.0,
-        )
-        rows.append(
-            {
-                "n": n,
-                "side": side,
-                "psi_mid": ev.psi,
-                "c": ev.c,
-                "upsilon0": ev.upsilon0,
-                "zeta": ev.zeta,
-                "zeta_prime": ev.zeta_prime,
-                "zeta_second": ev.zeta_second,
-                "err_est": rel,
-            }
-        )
-    return rows
+    names = [f"band n={n}, {side}" for n, side in keys]
+    _, c, _, res = _rows(profile, psi, ("zeta", "upsilon0") + _DERIVS, names)
+    err = (res[1, :3] / np.abs(res[0, :3])).max(axis=0)  # zeta, Upsilon0, zeta'
+    (z, up, zp, zs), _ = res.tolist()
+    cols = zip(psi, c.tolist(), up, z, zp, zs, err.tolist())
+    return [dict(zip(_TABLE_KEYS, key + row)) for key, row in zip(keys, cols)]

@@ -182,6 +182,7 @@ def test_model_integrals_raise_above_ceiling(call, monkeypatch):
     with pytest.raises(AccuracyError, match="model integral") as info:
         call()
     assert info.value.achieved > 0.0
+    assert "at scale=" in str(info.value)  # the worst row's scale b
 
 
 def test_finite_model_integral_validation():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -340,7 +341,13 @@ def test_tabulate_bands_schema(prof4):
         assert math.isfinite(row["zeta_prime"])
 
 
-@pytest.mark.parametrize("r, eps0", [(4.0, 1.0), (6.0, 2.0), (10.0, 1.5)])
+# angles a batch must give the one-row bits too: at r=10, eps0=1.5 a
+# crossing row whose zeta alone is redone, and at r=4, eps0=0.75 a bouncing
+# row whose gap is exactly 1/8^2 (see test_zeta_derivs_at_exact_band_boundary)
+_BATCH_EXTRAS = {(10.0, 1.5): [1.5537534571304508], (4.0, 0.75): [0.6895799048528891]}
+
+
+@pytest.mark.parametrize("r, eps0", [(4.0, 1.0), (6.0, 2.0), (10.0, 1.5), (4.0, 0.75)])
 def test_table_rows_match_one_row_calls(r, eps0):
     # at eps0 = 2 and 1.5 some rows on both sides are redone at 64 nodes
     prof = SurfaceProfile(r=r, eps0=eps0)
@@ -359,6 +366,81 @@ def test_table_rows_match_one_row_calls(r, eps0):
         assert row["upsilon0"] == ev.upsilon0 == upsilon0(prof, psi)
         assert row["zeta_prime"] == ev.zeta_prime == d.zeta_prime
         assert row["zeta_second"] == ev.zeta_second == d.zeta_second
+    # a shuffled batch mixing both sides and the profile's odd angles
+    psi = [row["psi_mid"] for row in rows] + _BATCH_EXTRAS.get((r, eps0), [])
+    np.random.default_rng(7).shuffle(psi)
+    evs = transition.evaluate_batch(prof, psi)
+    ds = transition.zeta_derivs_batch(prof, psi)
+    assert {ev.klass for ev in evs} == {TrajectoryClass.BOUNCING, TrajectoryClass.CROSSING}
+    for p, ev, d in zip(psi, evs, ds, strict=True):
+        assert ev == evaluate(prof, p)
+        assert d == zeta_derivs(prof, p)
+
+
+def test_empty_batches_give_no_rows(prof4):
+    assert tabulate_bands(prof4, []) == []
+    assert transition.evaluate_batch(prof4, []) == []
+    assert transition.zeta_derivs_batch(prof4, []) == []
+
+
+def test_table_checks_every_angle_at_once_and_evaluates_the_boundary_once(prof4, monkeypatch):
+    """A 24-row table makes one entry_scales call and, on top of the engine
+    passes, one bouncing evaluation: that of (F L)(W) for all its rows."""
+    calls = {"entry_scales": 0, "_bouncing": 0, "passes": 0}
+    spied = {name: getattr(transition, name) for name in ("entry_scales", "_bouncing", "_blocked")}
+
+    def entry_scales(*args):
+        calls["entry_scales"] += 1
+        return spied["entry_scales"](*args)
+
+    def bouncing(*args):
+        calls["_bouncing"] += 1
+        return spied["_bouncing"](*args)
+
+    def blocked(side, *args):
+        calls["passes"] += side is bouncing
+        return spied["_blocked"](side, *args)
+
+    monkeypatch.setattr(transition, "entry_scales", entry_scales)
+    monkeypatch.setattr(transition, "_bouncing", bouncing)
+    monkeypatch.setattr(transition, "_blocked", blocked)
+    rows = tabulate_bands(prof4, band_range(25, 3200))
+    assert len(rows) == 24 and calls["passes"] >= 1
+    assert calls["entry_scales"] == 1
+    assert calls["_bouncing"] == calls["passes"] + 1  # one block of rows per pass
+
+
+def test_batch_errors_name_the_row(prof4, monkeypatch):
+    # band 10^7's crossing midpoint rounds onto the asymptotic angle
+    prof = SurfaceProfile(r=6.0, eps0=2.0)
+    psi0 = prof.asymptotic_angle()
+    band = f"psi={psi0!r} (band n=10000000, crossing)"
+    with pytest.raises(AsymptoticEntryError, match=re.escape(band)):
+        tabulate_bands(prof, [10000000])
+    with pytest.raises(AsymptoticEntryError, match=re.escape(f"psi={psi0!r}")):
+        zeta(prof, psi0)
+    with pytest.raises(ValueError, match=re.escape("psi=0.0 (band")):
+        transition._rows(prof4, [1.0, 0.0], ("zeta",), ["first", "band 2"])
+    # the engine's ceiling names the worst row's gap u
+    _, psi = band_midpoint(prof4, 25, "crossing")
+    u = entry_data(prof4, psi).u
+    monkeypatch.setattr(transition, "_ERR_CEILING", 0.0)
+    message = f"zeta integral with 64 nodes per panel at u={u!r}"
+    with pytest.raises(AccuracyError, match=re.escape(message)):
+        zeta(prof4, psi)
+    monkeypatch.undo()
+    # the derivative ceiling names the row's psi and band
+    crossing_chain = transition._crossing_chain
+
+    def loose(*args):  # estimates as large as the values
+        for d1, d2, _, _ in crossing_chain(*args):
+            yield d1, d2, abs(d1), abs(d2)
+
+    monkeypatch.setattr(transition, "_crossing_chain", loose)
+    message = f"zeta' at psi={psi!r} (band n=25, crossing)"
+    with pytest.raises(AccuracyError, match=re.escape(message)) as info:
+        tabulate_bands(prof4, [25])
+    assert info.value.achieved == 1.0
 
 
 def test_zeta_prime_scale_tracks_band_cube(prof4):
