@@ -65,10 +65,15 @@ def band_of_gap(u: float, side: str, n0: int = DEFAULT_N0) -> HomogeneityBand | 
     return HomogeneityBand(n, side)
 
 
+def gap_interval(n: int) -> tuple[float, float]:
+    """The open interval (1/(n+1)^2, 1/n^2) of the gap | |c|-1 | in band n,
+    on either side: its deep edge first."""
+    return 1.0 / (n + 1.0) ** 2, 1.0 / float(n) ** 2
+
+
 def c_interval(n: int, side: str) -> tuple[float, float]:
     """The open c-interval of band (n, side), ordered c_lo < c_hi."""
-    inner = 1.0 / (n + 1.0) ** 2  # |c|-1 at the deep edge
-    outer = 1.0 / float(n) ** 2
+    inner, outer = gap_interval(n)
     if side == BOUNCING:
         return 1.0 + inner, 1.0 + outer
     if side == CROSSING:

@@ -20,8 +20,9 @@ The scaling suite reads its rows from transition.tabulate_bands and adds
 the growth factors; the distortion suite takes zeta' at every in-band
 offset from one transition.zeta_derivs_batch call; default_thresholds makes
 one upsilon0_batch call.  Each is one array pass (see transition), with one
-engine pass per side plus the redo level, and a row gets the bits the
-one-row transition.evaluate, zeta_derivs or upsilon0 gives it.
+engine pass per side plus the redo level.  A distortion row or threshold
+gets the bits the one-row transition.zeta_derivs or upsilon0 gives its
+angle, and a scaling row those of its band's one-row table.
 """
 
 from __future__ import annotations

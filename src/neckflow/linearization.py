@@ -361,11 +361,13 @@ def horocycle_scan(
 
     Reports C3 = min k+ / max(|s|^((r-2)/2), |psi|^((r-2)/r)), C4 = min
     k+ / sqrt(-K), and C7 = max k-/k+, all over confident grid points (psi
-    is measured as angular distance to the parallel directions {0, pi}).
+    is measured as angular distance to the parallel directions {0, pi}; C3
+    skips the ridge vector s = 0, psi = 0, where its denominator is 0).
     Aborts when more than _MAX_UNCONFIDENT of the grid is low-confidence,
     since the constants would then reflect seed memory rather than geometry.
     Every vector of the grid is relaxed as unstable_riccati relaxes it, all
-    in one batch; a grid with no confident point of K < 0 raises ValueError.
+    in one batch; a grid with no confident point off the ridge vector, or
+    none of K < 0, raises ValueError.
     """
     if s_values is None:
         half = np.linspace(0.05, 0.5, 4) * profile.eps0
@@ -406,14 +408,18 @@ def horocycle_scan(
             achieved=frac,
         )
     good = [row for row in rows if row["confident"]]
-    c3 = min(
-        row["k_plus"]
-        / max(
+    # C3's denominator vanishes only at the ridge vector (s = 0, psi in
+    # {0, pi}), where the bound holds for any C3
+    scales = [
+        max(
             abs(row["s"]) ** (0.5 * (r - 2.0)),
             _dist_to_parallel(row["psi"]) ** ((r - 2.0) / r),
         )
         for row in good
-    )
+    ]
+    if not any(scale > 0.0 for scale in scales):
+        raise ValueError("no confident grid point is off the ridge vector, so C3 is undefined")
+    c3 = min(row["k_plus"] / scale for row, scale in zip(good, scales) if scale > 0.0)
     curved = [row for row in good if row["K"] < 0.0]
     if not curved:
         raise ValueError("no confident grid point has K < 0, so C4 is undefined")

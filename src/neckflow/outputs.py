@@ -1,8 +1,12 @@
 """Deterministic CSV/JSON serialization for experiment results.
 
-Identical inputs must produce byte-identical files: floats are written with
-repr (shortest round-trip form), JSON keys are sorted, line endings are
-'\\n', and nothing time- or host-dependent is ever emitted.
+Identical inputs must produce byte-identical files on the same numpy build
+at the same CPU dispatch level: floats are written with repr (shortest
+round-trip form), JSON keys are sorted, line endings are '\\n', and nothing
+time- or host-dependent is ever emitted.  The values themselves may differ
+in the last bits across dispatch levels (numpy's AVX-512 and baseline
+kernels for power, exp, log, expm1 and log1p round some values
+differently), and then so do the bytes.
 """
 
 from __future__ import annotations

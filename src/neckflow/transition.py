@@ -38,12 +38,15 @@ in w) into two Gauss-Legendre panels, the outer one graded in a log
 variable, so the accuracy holds uniformly up to the asymptotic angle.  An
 embedded lower-order rule gives every (row, integrand) an error estimate:
 one above the 1e-9 relative ceiling is redone at twice the nodes, and one
-still above it raises AccuracyError, so no degraded number is returned.  A
-value depends only on its entry angle and its integrand, never on what else
-was integrated with it.  Angles become rows in one pass: one array check of
-all angles, one engine pass per side, one bouncing boundary evaluation for
-all rows, and zeta', zeta'' from these per row in floats; entry_data,
-evaluate, zeta_derivs, zeta and upsilon0 are its one-row case.
+still above it raises AccuracyError, so no degraded number is returned.
+
+A row is keyed by its exact gap u = | |c|-1 | and its side.  Rows become
+values in one pass: one engine pass per side, one bouncing boundary
+evaluation for all rows, and zeta', zeta'' from these per row in floats.
+Angles become gaps in one array check first (entry_data, evaluate,
+zeta_derivs, zeta and upsilon0 are the one-row case); a band table takes
+its gaps from its bands.  A value depends only on its row's key and its
+integrand, never on what else was integrated with it.
 """
 
 from __future__ import annotations
@@ -99,15 +102,15 @@ def entry_scales(profile: SurfaceProfile, psi: np.ndarray):
     return np.abs(cm1), cm1 > 0.0
 
 
-def _checked_scales(profile: SurfaceProfile, psi: np.ndarray, names=None):
+def _checked_scales(profile: SurfaceProfile, psi: np.ndarray):
     """(u, bouncing mask, c) of an array of entry angles, each checked to
     lie in (0, pi/2) and not to be asymptotic; the error names the first bad
-    angle, and its names[k] if names is given."""
+    angle."""
     u, bounce = entry_scales(profile, psi)
     ok = (psi > 0.0) & (psi < 0.5 * math.pi) & (psi != profile.asymptotic_angle()) & (u > 0.0)
     if np.count_nonzero(ok) < ok.size:
         k = int(np.argmin(ok))
-        at = _row_name(k, "psi", psi, names)
+        at = _row_name(k, "psi", psi)
         if not 0.0 < psi[k] < 0.5 * math.pi:
             raise ValueError(f"entry angle must lie in (0, pi/2), got {at}")
         raise AsymptoticEntryError(f"entry angle {at} is asymptotic (c = 1)")
@@ -383,14 +386,20 @@ def _bouncing_chain(profile: SurfaceProfile, psi, u, ints):
         yield -k * z1, k * k * z2 - kc * z1, k * e1, k * k * e2 + kc * e1
 
 
-def _rows(profile: SurfaceProfile, psi, which, names=None):
-    """(psi, c, bouncing mask, [values, estimates] per name in which, shape
-    (2, len(which), rows)) of the entry angles psi, checked by
-    _checked_scales, from one _integrate pass per side.  If which ends with
-    _DERIVS, each side's chain rule turns their slots into zeta' and zeta'',
-    certified to the 1e-9 ceiling; an error names the row's psi and names[k]."""
+def _rows(profile: SurfaceProfile, psi, which):
+    """(psi, c, bouncing mask, _gap_rows' result) of the entry angles psi,
+    checked by _checked_scales."""
     psi = np.array(psi, dtype=float)
-    u, bounce, c = _checked_scales(profile, psi, names)
+    u, bounce, c = _checked_scales(profile, psi)
+    return psi, c, bounce, _gap_rows(profile, psi, u, bounce, which)
+
+
+def _gap_rows(profile: SurfaceProfile, psi, u, bounce, which, names=None):
+    """[values, estimates] per name in which, shape (2, len(which), rows),
+    of the rows keyed by their gaps u and bouncing mask, from one _integrate
+    pass per side.  If which ends with _DERIVS, each side's chain rule turns
+    their slots into zeta' and zeta'' at the angles psi, certified to the
+    1e-9 ceiling; an error names the row's psi and names[k]."""
     res = np.empty((2, len(which), psi.size))
     derivs = which[-2:] == _DERIVS
     for side, rows, part in _sides(profile, u, (bounce, ~bounce), which, _GL_NODES):
@@ -401,7 +410,7 @@ def _rows(profile: SurfaceProfile, psi, which, names=None):
         res[:, :, rows] = part
     if derivs:
         _certify(("zeta'", "zeta''"), res[1, -2:] / np.abs(res[0, -2:]), "psi", psi, names)
-    return psi, c, bounce, res
+    return res
 
 
 def zeta(profile: SurfaceProfile, psi: float) -> float:
@@ -528,13 +537,18 @@ def tabulate_bands(
     n0: int = bands.DEFAULT_N0,
 ) -> list[dict]:
     """Transition-map table at band midpoints: one row per (n, side) from one
-    pass, keyed by _TABLE_KEYS (the scaling suite's columns, then err_est, the
-    worst relative estimate of zeta, Upsilon0 and zeta'); errors name the band."""
+    _gap_rows pass, keyed by _TABLE_KEYS (the scaling suite's columns, then
+    err_est, the worst relative estimate of zeta, Upsilon0 and zeta'); errors
+    name the band.  A row's gap is its band's midpoint (1/n^2 + 1/(n+1)^2)/2;
+    psi_mid, band_midpoint's rounded angle, enters only the chain factors."""
     keys = [(int(n), side) for n in n_values for side in sides]
-    psi = [bands.band_midpoint(profile, n, side, n0)[1] for n, side in keys]
+    psi = np.array([bands.band_midpoint(profile, n, side, n0)[1] for n, side in keys])
+    u = np.array([0.5 * sum(bands.gap_interval(n)) for n, _ in keys])
+    bounce = np.array([side == bands.BOUNCING for _, side in keys], dtype=bool)
     names = [f"band n={n}, {side}" for n, side in keys]
-    _, c, _, res = _rows(profile, psi, ("zeta", "upsilon0") + _DERIVS, names)
+    res = _gap_rows(profile, psi, u, bounce, ("zeta", "upsilon0") + _DERIVS, names)
     err = (res[1, :3] / np.abs(res[0, :3])).max(axis=0)  # zeta, Upsilon0, zeta'
     (z, up, zp, zs), _ = res.tolist()
-    cols = zip(psi, c.tolist(), up, z, zp, zs, err.tolist())
+    c = np.where(bounce, 1.0 + u, 1.0 - u)
+    cols = zip(psi.tolist(), c.tolist(), up, z, zp, zs, err.tolist())
     return [dict(zip(_TABLE_KEYS, key + row)) for key, row in zip(keys, cols)]

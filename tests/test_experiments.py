@@ -416,7 +416,8 @@ def test_suite_rows_match_one_row_calls(prof4):
         del want["err_est"]
         assert {key: row[key] for key in want} == want
         for tag, slope in (("0", 0.0), ("p1", 1.0), ("m1", -1.0)):
-            assert row[f"growth_{tag}"] == transition.growth_factor(prof4, row["psi_mid"], slope)
+            want = transition.growth_factor(prof4, row["psi_mid"], slope, row["zeta_prime"])
+            assert row[f"growth_{tag}"] == want
     # the distortion suite's angles, one zeta_derivs_batch call
     psi = []
     for n in band_range(25, 100, 10):

@@ -310,6 +310,19 @@ def test_horocycle_scan_needs_a_curved_point(prof4):
         horocycle_scan(prof4, s_values=[])
 
 
+def test_horocycle_scan_grid_through_the_ridge_vector(prof4):
+    """C3's denominator is 0 at s = 0, psi in {0, pi}: the bound holds there
+    for any C3, so that vector is left out of the minimum."""
+    grid = [0.0, 0.2, 0.4]
+    report = horocycle_scan(prof4, s_values=grid, psi_values=grid)
+    off_ridge = [row for row in report.rows if row["s"] != 0.0 or row["psi"] != 0.0]
+    assert len(off_ridge) == 8 and all(row["confident"] for row in report.rows)
+    want = min(row["k_plus"] / max(abs(row["s"]), row["psi"] ** 0.5) for row in off_ridge)
+    assert report.c3 == pytest.approx(want, rel=1e-15)
+    with pytest.raises(ValueError, match="C3"):
+        horocycle_scan(prof4, s_values=[0.0], psi_values=[0.0, math.pi])
+
+
 def test_unstable_riccati_closure_check_raises(prof4, monkeypatch):
     monkeypatch.setattr(linearization, "_CLOSURE_TOL", 0.0)
     with pytest.raises(AccuracyError) as info:

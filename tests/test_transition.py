@@ -357,15 +357,12 @@ def test_table_rows_match_one_row_calls(r, eps0):
         (n, side) for n in ns for side in ("bouncing", "crossing")
     ]
     for row in rows:
-        psi = row["psi_mid"]
-        assert psi == band_midpoint(prof, row["n"], row["side"])[1]
-        ev = evaluate(prof, psi)
-        d = zeta_derivs(prof, psi)
-        assert row["c"] == ev.c
-        assert row["zeta"] == ev.zeta == zeta(prof, psi)
-        assert row["upsilon0"] == ev.upsilon0 == upsilon0(prof, psi)
-        assert row["zeta_prime"] == ev.zeta_prime == d.zeta_prime
-        assert row["zeta_second"] == ev.zeta_second == d.zeta_second
+        n, side = row["n"], row["side"]
+        assert row["psi_mid"] == band_midpoint(prof, n, side)[1]
+        # a row is keyed by its band's midpoint gap, whatever the batch
+        assert tabulate_bands(prof, [n], sides=(side,)) == [row]
+        u_mid = (1 / n**2 + 1 / (n + 1) ** 2) / 2
+        assert row["c"] == (1.0 + u_mid if side == "bouncing" else 1.0 - u_mid)
     # a shuffled batch mixing both sides and the profile's odd angles
     psi = [row["psi_mid"] for row in rows] + _BATCH_EXTRAS.get((r, eps0), [])
     np.random.default_rng(7).shuffle(psi)
@@ -377,15 +374,31 @@ def test_table_rows_match_one_row_calls(r, eps0):
         assert d == zeta_derivs(prof, p)
 
 
+@pytest.mark.parametrize("r, eps0", [(4.0, 1.0), (6.0, 2.0), (10.0, 2.0)])
+def test_table_rows_match_oracle_at_band_midpoint_gap(r, eps0):
+    """Deep rows against adaptive quadrature at the band's exact midpoint
+    gap: an angle-keyed row there drifts off its gap, by up to 2.5e-2 at
+    n=1e6, and at eps0=2 band 1e7's midpoint angle is psi0 itself."""
+    prof = SurfaceProfile(r=r, eps0=eps0)
+    ns = [3200, 100000, 1000000, 10000000]
+    for row in tabulate_bands(prof, ns):
+        n = row["n"]
+        u_mid = (1 / n**2 + 1 / (n + 1) ** 2) / 2
+        for key in ("zeta", "upsilon0"):
+            want = orc.excursion_quad(r, eps0, u_mid, row["side"] == "bouncing", key)
+            assert row[key] == pytest.approx(want, rel=1e-9), (n, row["side"], key)
+
+
 def test_empty_batches_give_no_rows(prof4):
     assert tabulate_bands(prof4, []) == []
     assert transition.evaluate_batch(prof4, []) == []
     assert transition.zeta_derivs_batch(prof4, []) == []
 
 
-def test_table_checks_every_angle_at_once_and_evaluates_the_boundary_once(prof4, monkeypatch):
-    """A 24-row table makes one entry_scales call and, on top of the engine
-    passes, one bouncing evaluation: that of (F L)(W) for all its rows."""
+def test_table_makes_no_angle_check_and_evaluates_the_boundary_once(prof4, monkeypatch):
+    """A 24-row table takes its gaps from its bands, so it makes no
+    entry_scales call, and on top of the engine passes it makes one bouncing
+    evaluation: that of (F L)(W) for all its rows."""
     calls = {"entry_scales": 0, "_bouncing": 0, "passes": 0}
     spied = {name: getattr(transition, name) for name in ("entry_scales", "_bouncing", "_blocked")}
 
@@ -406,21 +419,25 @@ def test_table_checks_every_angle_at_once_and_evaluates_the_boundary_once(prof4,
     monkeypatch.setattr(transition, "_blocked", blocked)
     rows = tabulate_bands(prof4, band_range(25, 3200))
     assert len(rows) == 24 and calls["passes"] >= 1
-    assert calls["entry_scales"] == 1
+    assert calls["entry_scales"] == 0
     assert calls["_bouncing"] == calls["passes"] + 1  # one block of rows per pass
 
 
 def test_batch_errors_name_the_row(prof4, monkeypatch):
-    # band 10^7's crossing midpoint rounds onto the asymptotic angle
+    # band 10^7's crossing midpoint angle rounds onto the asymptotic angle,
+    # but its row is keyed by the band's gap, which is no angle's
     prof = SurfaceProfile(r=6.0, eps0=2.0)
     psi0 = prof.asymptotic_angle()
-    band = f"psi={psi0!r} (band n=10000000, crossing)"
-    with pytest.raises(AsymptoticEntryError, match=re.escape(band)):
-        tabulate_bands(prof, [10000000])
+    (row,) = tabulate_bands(prof, [10000000], sides=("crossing",))
+    assert row["psi_mid"] == psi0
+    u_mid = (1 / 10000000**2 + 1 / 10000001**2) / 2
+    for key in ("zeta", "upsilon0"):
+        want = orc.excursion_quad(6.0, 2.0, u_mid, False, key)
+        assert row[key] == pytest.approx(want, rel=1e-9)
     with pytest.raises(AsymptoticEntryError, match=re.escape(f"psi={psi0!r}")):
         zeta(prof, psi0)
-    with pytest.raises(ValueError, match=re.escape("psi=0.0 (band")):
-        transition._rows(prof4, [1.0, 0.0], ("zeta",), ["first", "band 2"])
+    with pytest.raises(ValueError, match=re.escape("got psi=0.0")):
+        transition.zeta_derivs_batch(prof4, [1.0, 0.0])
     # the engine's ceiling names the worst row's gap u
     _, psi = band_midpoint(prof4, 25, "crossing")
     u = entry_data(prof4, psi).u
