@@ -11,10 +11,11 @@ thresholds T, how many have a residence time 2*Upsilon0 above T.  The
 residence time grows as the entry angle nears the asymptotic angle psi0 from
 either side, so each threshold's survivors are the samples within some
 distance of psi0 on each side.  Those distances are found once per run by
-bisecting upsilon0_batch, the batch form of transition's graded-panel
-engine; each root is widened into a bracket whose edges are certified
-against the engine's error estimate, and only the rare samples inside a
-bracket are integrated.
+a bracketed secant search in log-log coordinates, where the residence
+time is nearly a power law, on upsilon0_batch, the batch form of
+transition's graded-panel engine; each root is widened into a bracket
+whose edges are certified against the engine's error estimate, and only
+the rare samples inside a bracket are integrated.
 
 The scaling suite reads its rows from transition.tabulate_bands and adds
 the growth factors; the distortion suite takes zeta' at every in-band
@@ -144,9 +145,13 @@ _BRACKET_DELTA = 1e-6
 #: nearer than this always run the kernel, so the brackets rely on the
 #: residence time being monotone only from here outwards.
 _ROOT_FLOOR = 1e-14
-#: Halvings of a log|psi - psi0| bracket at most ~33 wide: they leave it
-#: below 3.1e-8, well inside _BRACKET_DELTA.
+#: Most steps a root search takes: as many halvings of a log|psi - psi0|
+#: bracket at most ~33 wide would leave it below _ROOT_WIDTH.
 _BISECT_STEPS = 30
+#: A root search stops once its log|psi - psi0| bracket is narrower than
+#: _ROOT_WIDTH, or its last step shorter than _ROOT_STEP; either leaves the
+#: root well inside _BRACKET_DELTA.
+_ROOT_WIDTH, _ROOT_STEP = 3.1e-8, 1e-9
 
 
 @dataclass(frozen=True)
@@ -173,11 +178,17 @@ def _survivor_brackets(
     2*Upsilon0 grows as psi nears psi0 from either side (proved on the
     crossing side, property-tested on the bouncing side down to
     _ROOT_FLOOR), so the survivors of threshold T are the samples with
-    |psi - psi0| < d*(T, side).  All 2K roots are bisected together in
-    log|psi - psi0|, one upsilon0_batch call per step, and each is widened
-    into the edges d*(1 -+ _BRACKET_DELTA).  At every edge the kernel must
-    lie on its side of T by more than twice max(its error estimate, the
-    1e-9 ceiling), or AccuracyError is raised.
+    |psi - psi0| < d*(T, side).  2*Upsilon0 is close to a power of d, so
+    all 2K roots are found together by regula falsi with the Illinois
+    modification in (log d, log(2*Upsilon0 / T)): each step moves every
+    live row to the secant root of its bracket, or to the bracket's
+    midpoint where that root is not strictly inside, in one upsilon0_batch
+    call.  A row stops at _ROOT_WIDTH, at _ROOT_STEP, on an exact root or
+    after _BISECT_STEPS steps.  Each root is widened into the edges
+    d*(1 -+ _BRACKET_DELTA), or two ulps of psi either side of the root's
+    angle where that is wider.  At every edge the kernel must lie on its
+    side of T by more than twice max(its error estimate, the 1e-9
+    ceiling), or AccuracyError is raised.
 
     A side whose window edge already exceeds T survives whole.  A root
     below _ROOT_FLOOR gets the inner edge psi0 (no certain survivors), so
@@ -187,24 +198,59 @@ def _survivor_brackets(
     side = np.array([[-1.0], [1.0]])
     edge = np.array([[window[0]], [window[1]]])
     thr = np.broadcast_to(thresholds, (2, thresholds.size))
-    at_floor = 2.0 * upsilon0_batch(profile, psi0 + side[:, 0] * _ROOT_FLOOR)
-    deep = at_floor[:, None] > thr  # the root lies beyond the floor
-    whole = 2.0 * upsilon0_batch(profile, edge[:, 0])[:, None] > thr
-    lo = np.full(thr.shape, math.log(_ROOT_FLOOR))  # above T if deep
-    hi = np.broadcast_to(np.log(side * (edge - psi0)), thr.shape)  # not above T
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        vals = upsilon0_batch(profile, (psi0 + side * np.exp(mid)).ravel())
-        above = 2.0 * vals.reshape(thr.shape) > thr
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    root = np.exp(0.5 * (lo + hi))
-    inner = np.where(deep, psi0 + side * root * (1.0 - _BRACKET_DELTA), psi0)
-    inner = np.where(whole, side * np.inf, inner)
-    outer = np.where(whole, side * np.inf, psi0 + side * root * (1.0 + _BRACKET_DELTA))
-    _certify(profile, np.where(whole, edge, inner), deep | whole, thr, 1.0)
+    probe = np.array([psi0 - _ROOT_FLOOR, psi0 + _ROOT_FLOOR, *window])
+    at_floor, at_edge = np.split(2.0 * upsilon0_batch(profile, probe)[:, None], 2)
+    deep = at_floor > thr  # the root lies beyond the floor
+    whole = at_edge > thr
+    # a live row's bracket [lo, hi] in x = log|psi - psi0| has the kernel
+    # above T at lo and not above at hi; g = log(2*Upsilon0 / T) at each
+    lo = np.full(thr.shape, math.log(_ROOT_FLOOR))
+    hi = np.broadcast_to(np.log(side * (edge - psi0)), thr.shape).copy()
+    x = lo.copy()  # the root, once the row stops
+    kept = np.zeros(thr.shape)  # the end the last step kept: +1 hi, -1 lo
+    sides = np.broadcast_to(side, thr.shape)
+    live = deep & ~whole
+    # g is -inf at a grazing window edge (psi = 0); its secant root is NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g_lo, g_hi = np.log(at_floor / thr), np.log(at_edge / thr)
+        for _ in range(_BISECT_STEPS):
+            if not live.any():
+                break
+            l, h, gl, gh, t = lo[live], hi[live], g_lo[live], g_hi[live], thr[live]
+            xs = h - gh * (h - l) / (gh - gl)
+            xs = np.where((l < xs) & (xs < h), xs, 0.5 * (l + h))
+            vals = 2.0 * upsilon0_batch(profile, psi0 + sides[live] * np.exp(xs))
+            above, g = vals > t, np.log(vals / t)
+            # Illinois: an end kept a second time in a row has its g halved
+            gh = np.where(above & (kept[live] > 0), 0.5 * gh, gh)
+            gl = np.where(~above & (kept[live] < 0), 0.5 * gl, gl)
+            lo[live], g_lo[live] = np.where(above, xs, l), np.where(above, g, gl)
+            hi[live], g_hi[live] = np.where(above, h, xs), np.where(above, gh, g)
+            kept[live] = np.where(above, 1.0, -1.0)
+            done = (np.abs(xs - x[live]) < _ROOT_STEP) | (g == 0.0)
+            done |= hi[live] - lo[live] < _ROOT_WIDTH
+            x[live] = xs
+            live[live] = ~done
+    root = np.exp(x)
+    angle = psi0 + side * root  # the root's angle
+
+    def wider(psi, ulps_to):
+        # psi, or two ulps from the root's angle toward ulps_to if further
+        ulps = np.nextafter(np.nextafter(angle, ulps_to), ulps_to)
+        return np.where(np.abs(psi - angle) > np.abs(ulps - angle), psi, ulps)
+
+    inner = wider(psi0 + side * root * (1.0 - _BRACKET_DELTA), psi0)
+    inner = np.where(whole, side * np.inf, np.where(deep, inner, psi0))
+    outer = wider(psi0 + side * root * (1.0 + _BRACKET_DELTA), side * np.inf)
+    outer = np.where(whole, side * np.inf, outer)
     # an outer edge past the window edge has no sample beyond it
-    _certify(profile, outer, (edge[0] <= outer) & (outer <= edge[1]), thr, -1.0)
+    _certify(
+        profile,
+        np.stack([np.where(whole, edge, inner), outer]),
+        np.stack([deep | whole, (edge[0] <= outer) & (outer <= edge[1])]),
+        thr,
+        np.array([[[1.0]], [[-1.0]]]),
+    )
     return _Brackets(
         thresholds=thresholds,
         inner=inner,
@@ -213,14 +259,15 @@ def _survivor_brackets(
     )
 
 
-def _certify(profile, psi, mask, thr, sign: float) -> None:
+def _certify(profile, psi, mask, thr, sign) -> None:
     """Raise AccuracyError unless 2*Upsilon0 at each psi[mask] lies beyond
-    its threshold in the direction of sign by more than twice max(its
-    relative error estimate, the 1e-9 ceiling)."""
+    its threshold in the direction of its sign by more than twice max(its
+    relative error estimate, the 1e-9 ceiling); thr and sign broadcast to
+    psi's shape."""
     vals, err = transition.excursion_integrals(profile, psi[mask])[:, 0]
-    t = thr[mask]
+    t, s = (np.broadcast_to(v, psi.shape)[mask] for v in (thr, sign))
     ceiling = transition._ERR_CEILING
-    clear = sign * (2.0 * vals - t) > 2.0 * np.maximum(err / vals, ceiling) * t
+    clear = s * (2.0 * vals - t) > 2.0 * np.maximum(err / vals, ceiling) * t
     if not clear.all():
         worst = float(np.min(np.abs(2.0 * vals / t - 1.0)[~clear]))
         raise AccuracyError(

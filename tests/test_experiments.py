@@ -228,8 +228,8 @@ def _chunk_of(prof, monkeypatch, psi, brackets, index=0):
     return _tail_chunk(prof, 0, index, len(psi), entry_window(prof), brackets)
 
 
-def _brackets(prof, extra=()):
-    thr = np.append(default_thresholds(prof), extra)
+def _brackets(prof, extra=(), n_hi=1200):
+    thr = np.append(default_thresholds(prof, n_hi=n_hi), extra)
     return _survivor_brackets(prof, entry_window(prof), thr)
 
 
@@ -247,7 +247,7 @@ def test_tail_chunk_raises_on_nan(prof4, monkeypatch):
 def test_tail_chunk_counts_inf_as_survivor(prof_narrow, monkeypatch):
     # at eps0 = 0.5 the inversion residual of psi0 is zero, so psi0 itself
     # has u == 0 and an infinite residence time; 1e6 has its root below the
-    # bisection floor, so no inner edge vouches for the sample there
+    # root floor, so no inner edge vouches for the sample there
     psi0 = prof_narrow.asymptotic_angle()
     assert entry_scales(prof_narrow, np.array([psi0]))[0][0] == 0.0
     brackets = _brackets(prof_narrow, extra=[1e6])
@@ -256,12 +256,19 @@ def test_tail_chunk_counts_inf_as_survivor(prof_narrow, monkeypatch):
     assert counts.tolist() == [1] * brackets.thresholds.size
 
 
-@pytest.mark.parametrize("key", [(4.0, 1.0), (6.0, 0.5), (10.0, 1.5)])
+@pytest.mark.parametrize(
+    "key",
+    # (r, eps0, n_hi of the thresholds); at r=10, eps0=2 criterion 5's n_hi
+    # puts a root where 1e-6 of |psi - psi0| is one ulp of psi
+    [(4.0, 1.0, 1200), (6.0, 0.5, 1200), (10.0, 1.5, 1200), (10.0, 2.0, 1040),
+     (10.0, 1.0, 1200)],
+)
 def test_tail_chunk_counts_bracket_samples_like_the_kernel(key, monkeypatch):
     prof = SurfaceProfile(r=key[0], eps0=key[1])
     lo, hi = entry_window(prof)
-    # 1.0 is exceeded on the whole window, 1e5 has its root below the floor
-    brackets = _brackets(prof, extra=[1.0, 1e5])
+    # 1.0 is exceeded on the whole window; 1e5 has its root below the floor,
+    # or at r=10, eps0=1 a few hundred ulps of psi above it
+    brackets = _brackets(prof, extra=[1.0, 1e5], n_hi=key[2])
     inner, outer = brackets.inner, brackets.outer
     finite = np.isfinite(outer)
     psi0 = prof.asymptotic_angle()
@@ -293,9 +300,27 @@ def test_tail_chunk_counts_bracket_samples_like_the_kernel(key, monkeypatch):
     assert counts[-2] == psi.size and 0 < counts[0] < psi.size
 
 
+@pytest.mark.parametrize("r", [4.0, 6.0])
+def test_survivor_brackets_kernel_pass_budget(r, monkeypatch):
+    # 2*Upsilon0 is nearly a power of |psi - psi0|, so the secant search
+    # finds criterion 5's roots in a few kernel passes
+    prof = SurfaceProfile(r=r, eps0=1.0)
+    thr = default_thresholds(prof, n_hi=1040)
+    calls = []
+    kernel = transition.excursion_integrals
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(transition, "excursion_integrals", spy)
+    _survivor_brackets(prof, entry_window(prof), thr)
+    assert len(calls) <= 10
+
+
 def test_tail_brackets_without_width_fail_the_certificate(monkeypatch):
-    # with no width, the inner and outer edge coincide at the bisected root,
-    # where the kernel cannot clear the threshold on both sides
+    # with no width, the inner and outer edge lie two ulps of psi either side
+    # of the root, where the kernel cannot clear the threshold on both sides
     monkeypatch.setattr(experiments, "_BRACKET_DELTA", 0.0)
     with pytest.raises(AccuracyError, match="bracket"):
         tail_estimate(ExperimentConfig(r=4.0, samples=20_000, seed=1))
@@ -317,7 +342,7 @@ _MONOTONE_PROFILES = {
 def test_bouncing_residence_time_is_monotone(key, depth, log_step):
     # the survivor brackets rely on 2*Upsilon0 growing toward psi0; on the
     # crossing side that is proved, on the bouncing side it is checked here
-    # with the engine the brackets bisect, from the bisection floor out to
+    # with the engine the brackets search, from the root floor out to
     # half the n0 window (or, at r=10, eps0=0.5 where that window is empty,
     # to half the angle at which c = (1 + a) / 2)
     prof = _MONOTONE_PROFILES[key]
