@@ -138,57 +138,47 @@ def _check_stall(sol) -> None:
 
 
 # _lockstep's DOP853: the Hairer-Norsett-Wanner 8(5,3) tableau as scipy ships
-# it, each stage kept as the (index, coefficient) pairs of its nonzero entries,
-# and the step-size controller constants of scipy's RungeKutta
-def _terms(coefficients):
-    return tuple((j, float(a)) for j, a in enumerate(coefficients) if a != 0.0)
-
-
+# it, read straight from scipy's arrays (C, A, B, E3, E5, D), and the
+# step-size controller constants of scipy's RungeKutta
 _N_STAGES = _dop853.N_STAGES
-_STAGES = tuple(
-    (float(_dop853.C[i]), _terms(_dop853.A[i, :i])) for i in range(1, _N_STAGES)
-)
-_DENSE_STAGES = tuple(
-    (float(_dop853.C[i]), _terms(_dop853.A[i, :i]))
-    for i in range(_N_STAGES + 1, _dop853.N_STAGES_EXTENDED)
-)
-_B, _E3, _E5 = _terms(_dop853.B), _terms(_dop853.E3), _terms(_dop853.E5)
-_D = tuple(_terms(row) for row in _dop853.D)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0  # the error estimator has order 7
 _ROOT_TOL = 4.0 * np.finfo(float).eps  # solve_ivp's event tolerance
 
 
-def _combine(K, terms):
-    """sum_j a_j K[j], accumulated elementwise in a fixed order, so that no
-    row's bits depend on the rows beside it."""
-    (j, a), *rest = terms
-    out = a * K[j]
-    for j, a in rest:
-        out += a * K[j]
-    return out
+def _combine(K, a):
+    """sum_j a[j] K[j] over the leading axis of the stage buffer K, (stages,
+    dim, rows), for the len(a) stages a covers.  np.add.reduce adds the
+    terms in stage order, one element at a time, when numpy's inner loop
+    runs over components and rows (dim >= 2; a lone element per stage would
+    be summed pairwise from 8 stages on), so no row's bits depend on the
+    rows beside it; a zero coefficient adds a signed zero, which leaves a
+    nonzero partial sum as it is.  BLAS sums (dot, @, tensordot) reorder terms."""
+    return np.add.reduce(a[:, None, None] * K[: a.size], axis=0)
 
 
 def _sum_sq(x):
-    """Per-row sum of squares over the components of x (dim, rows)."""
-    out = x[0] * x[0]
-    for xi in x[1:]:
-        out += xi * xi
-    return out
+    """Per-row sum of squares over the components of x (dim, rows), added in
+    component order: for one row numpy sums the components as its inner
+    loop, in order below 8 of them and pairwise from 8 on."""
+    return np.add.reduce(x * x, axis=0)
 
 
 def _lockstep(fun, y0, t_bound, rtol, atol, events=(), monitor=None):
     """DOP853 over rows of y' = fun(t, y) from t = 0, all rows in lockstep.
 
-    y0 is (rows, dim); t_bound (> 0, finite), rtol and atol give one value
-    per row or one for all.  fun(t, y) and every event g(t, y) receive t with
-    one time per row and y as (dim, rows), so y[0] is the rows' first
-    component; fun returns one array per component.  Each row runs scipy's
-    DOP853 controller on its own -- initial step, error norm, SAFETY and
-    factor limits, rejection flag -- and a finished row drops out.  Events
-    are terminal: the three extra dense-output stages are computed only for
-    rows whose event function changed sign in the accepted step, and each
-    root is found on that row's interpolant as solve_ivp finds it.
+    y0 is (rows, dim), 2 <= dim <= 7 (see _combine and _sum_sq: outside it
+    a lone row's sums are added pairwise, and rows would not be
+    batch-invariant), else ValueError; t_bound (> 0, finite), rtol and atol
+    give one value per row or one for all.  fun(t, y) and every event
+    g(t, y) receive t with one time per row and y as (dim, rows), so y[0] is
+    the rows' first component; fun returns one array per component.  Each
+    row runs scipy's DOP853 controller on its own -- initial step, error
+    norm, SAFETY and factor limits, rejection flag -- and a finished row
+    drops out.  Events are terminal: the three extra dense-output stages
+    are computed only for rows whose event function changed sign in the
+    accepted step, and each root is found on that row's interpolant as
+    solve_ivp finds it.
 
     Returns (t_end, y_end, hit, peak): y_end is (rows, dim), hit marks the
     rows an event ended, and peak holds each row's largest |monitor(rows, y)|
@@ -198,6 +188,8 @@ def _lockstep(fun, y0, t_bound, rtol, atol, events=(), monitor=None):
     """
     y = np.array(y0, dtype=float).T.copy()
     dim, rows = y.shape
+    if not 2 <= dim <= 7:
+        raise ValueError(f"lockstep rows need 2 to 7 components, got {dim}")
     t_bound, rtol, atol = (
         np.broadcast_to(np.asarray(v, dtype=float), (rows,)).copy()
         for v in (t_bound, rtol, atol)
@@ -208,17 +200,14 @@ def _lockstep(fun, y0, t_bound, rtol, atol, events=(), monitor=None):
     y = y[:, live]
     t, t_bound, rtol, atol = np.zeros(live.size), t_bound[live], rtol[live], atol[live]
 
-    def field(t, y):
-        return np.array(fun(t, y))
-
     # select_initial_step, row by row
-    f = field(t, y)
+    f = np.array(fun(t, y))
     scale = atol + np.abs(y) * rtol
     d0, d1 = np.sqrt(_sum_sq(y / scale) / dim), np.sqrt(_sum_sq(f / scale) / dim)
     with np.errstate(divide="ignore", invalid="ignore"):
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
         h0 = np.minimum(h0, t_bound)
-        d2 = np.sqrt(_sum_sq((field(t + h0, y + h0 * f) - f) / scale) / dim) / h0
+        d2 = np.sqrt(_sum_sq((np.array(fun(t + h0, y + h0 * f)) - f) / scale) / dim) / h0
         h1 = np.where(
             (d1 <= 1e-15) & (d2 <= 1e-15),
             np.maximum(1e-6, h0 * 1e-3),
@@ -243,14 +232,15 @@ def _lockstep(fun, y0, t_bound, rtol, atol, events=(), monitor=None):
             )
         t_new = np.minimum(t + h_abs, t_bound)
         h = t_new - t
-        K = [f]
-        for c, terms in _STAGES:
-            K.append(field(t + c * h, y + _combine(K, terms) * h))
-        y_new = y + h * _combine(K, _B)
-        K.append(field(t_new, y_new))
+        K = np.empty((_dop853.N_STAGES_EXTENDED, dim, live.size))
+        K[0] = f
+        for i in range(1, _N_STAGES):
+            K[i] = fun(t + _dop853.C[i] * h, y + _combine(K, _dop853.A[i, :i]) * h)
+        y_new = y + h * _combine(K, _dop853.B)
+        K[_N_STAGES] = fun(t_new, y_new)
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        err5 = _sum_sq(_combine(K, _E5) / scale)
-        err3 = _sum_sq(_combine(K, _E3) / scale)
+        err5 = _sum_sq(_combine(K, _dop853.E5) / scale)
+        err3 = _sum_sq(_combine(K, _dop853.E3) / scale)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             norm = np.where(
                 (err5 == 0.0) & (err3 == 0.0),
@@ -271,7 +261,7 @@ def _lockstep(fun, y0, t_bound, rtol, atol, events=(), monitor=None):
         t_old, y_old = t, y
         t = np.where(accept, t_new, t)
         y = np.where(accept, y_new, y)
-        f = np.where(accept, K[-1], f)
+        f = np.where(accept, K[_N_STAGES], f)
         done = accept & (t >= t_bound)
         if events:
             g_new = [event(t, y) for event in events]
@@ -287,7 +277,7 @@ def _lockstep(fun, y0, t_bound, rtol, atol, events=(), monitor=None):
             sub = np.flatnonzero(np.any(crossed, axis=0))
             if sub.size:
                 roots = _event_roots(
-                    field, events, [c[sub] for c in crossed], [k[:, sub] for k in K],
+                    fun, events, [c[sub] for c in crossed], K[:, :, sub],
                     t_old[sub], t[sub], y_old[:, sub], y[:, sub],
                 )
                 # these rows end at their roots (t and y are fresh arrays)
@@ -307,15 +297,16 @@ def _lockstep(fun, y0, t_bound, rtol, atol, events=(), monitor=None):
     return t_end, y_end.T, hit, peak
 
 
-def _event_roots(field, events, crossed, K, t_old, t_new, y_old, y_new):
+def _event_roots(fun, events, crossed, K, t_old, t_new, y_old, y_new):
     """(root, state) of the earliest crossing per row, on the row's DOP853
-    interpolant, with the dense-output stages computed for these rows only."""
+    interpolant.  K is the step's stage buffer for these rows only, (stages,
+    dim, rows); its three dense-output stages are filled here, in place."""
     h = t_new - t_old
-    for c, terms in _DENSE_STAGES:
-        K.append(field(t_old + c * h, y_old + _combine(K, terms) * h))
+    for i in range(_N_STAGES + 1, _dop853.N_STAGES_EXTENDED):
+        K[i] = fun(t_old + _dop853.C[i] * h, y_old + _combine(K, _dop853.A[i, :i]) * h)
     dy = y_new - y_old
     F = [dy, h * K[0] - dy, 2.0 * dy - h * (K[_N_STAGES] + K[0])]
-    F += [h * _combine(K, terms) for terms in _D]
+    F += [h * _combine(K, d) for d in _dop853.D]
     out = []
     for i in range(h.size):
         # the row's interpolant in float arithmetic, the same operations as

@@ -183,8 +183,9 @@ def _survivor_brackets(
     modification in (log d, log(2*Upsilon0 / T)): each step moves every
     live row to the secant root of its bracket, or to the bracket's
     midpoint where that root is not strictly inside, in one upsilon0_batch
-    call.  A row stops at _ROOT_WIDTH, at _ROOT_STEP, on an exact root or
-    after _BISECT_STEPS steps.  Each root is widened into the edges
+    call.  A row stops at _ROOT_WIDTH, at _ROOT_STEP, on an exact root, once
+    its bracket ends are equal or adjacent doubles of psi, or after
+    _BISECT_STEPS steps.  Each root is widened into the edges
     d*(1 -+ _BRACKET_DELTA), or two ulps of psi either side of the root's
     angle where that is wider.  At every edge the kernel must lie on its
     side of T by more than twice max(its error estimate, the 1e-9
@@ -217,9 +218,11 @@ def _survivor_brackets(
             if not live.any():
                 break
             l, h, gl, gh, t = lo[live], hi[live], g_lo[live], g_hi[live], thr[live]
+            s = sides[live]
             xs = h - gh * (h - l) / (gh - gl)
             xs = np.where((l < xs) & (xs < h), xs, 0.5 * (l + h))
-            vals = 2.0 * upsilon0_batch(profile, psi0 + sides[live] * np.exp(xs))
+            psi_new = psi0 + s * np.exp(xs)
+            vals = 2.0 * upsilon0_batch(profile, psi_new)
             above, g = vals > t, np.log(vals / t)
             # Illinois: an end kept a second time in a row has its g halved
             gh = np.where(above & (kept[live] > 0), 0.5 * gh, gh)
@@ -229,6 +232,10 @@ def _survivor_brackets(
             kept[live] = np.where(above, 1.0, -1.0)
             done = (np.abs(xs - x[live]) < _ROOT_STEP) | (g == 0.0)
             done |= hi[live] - lo[live] < _ROOT_WIDTH
+            # the new end and the end kept are equal or adjacent doubles of
+            # psi: no angle lies between them
+            psi_kept = psi0 + s * np.exp(np.where(above, h, l))
+            done |= np.nextafter(psi_new, psi_kept) == psi_kept
             x[live] = xs
             live[live] = ~done
     root = np.exp(x)

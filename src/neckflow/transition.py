@@ -66,6 +66,11 @@ from .surface import SurfaceProfile, TrajectoryClass
 
 _GL_NODES = 64  # first level: a 32-node answer rule on each of two panels
 _ERR_CEILING = 1e-9  # certified relative accuracy of every returned value
+# the bound a bouncing row's upper limit must meet on the relative rounding
+# error of eps0 - y (see _bouncing): the ceiling, held apart from the
+# integration estimates
+_LIMIT_ROUNDING = _ERR_CEILING
+_EPS = float(np.finfo(float).eps)
 _BLOCK_ROWS = 176  # rows per pass, so memory does not grow with the batch
 _LABELS = {"upsilon0": "Upsilon0", "zeta": "zeta", "dzeta": "zeta'", "d2zeta": "zeta''"}
 _LABELS["model"] = "model"  # asymptotics' model integrals, on the same engine
@@ -156,6 +161,8 @@ def _bouncing(profile: SurfaceProfile, u: np.ndarray):
     "zeta" (F below) and, with L = d log F/du at fixed w, "dzeta" = F L and
     "d2zeta" = F (L^2 + dL/du).  The u-derivatives are cancellation-free:
     d(xi-c)/du = expm1((r-1) log1p(w^2/y)) and d(xi+c)/du is that plus 2.
+    b is not: near grazing eps0 - y cancels, and a row whose bound on its
+    relative rounding error is above the 1e-9 ceiling raises AccuracyError.
     """
     r, eps0 = profile.r, profile.eps0
     y, y1, y2 = _turning(r, u)
@@ -198,7 +205,19 @@ def _bouncing(profile: SurfaceProfile, u: np.ndarray):
         out["d2zeta"] = fz * (lf * lf + lfu)
         return out
 
-    b = np.sqrt(eps0 - y)
+    # near grazing (psi -> 0, y -> eps0) eps0 - y keeps little more than the
+    # rounding of y, which bounds its relative error by eps*eps0/(eps0 - y)
+    room = eps0 - y
+    if not room.min() * _LIMIT_ROUNDING >= _EPS * eps0:  # a NaN fails too
+        k = int(np.argmin(room))
+        lost = _EPS * eps0 / room[k, 0] if room[k, 0] > 0.0 else math.inf
+        raise AccuracyError(
+            f"bouncing row u={float(u[k, 0])!r} grazes the neck boundary: eps0 - y = "
+            f"{float(room[k, 0]):.3e} has a relative rounding error up to {lost:.3e}, "
+            "above the 1e-9 ceiling",
+            achieved=lost,
+        )
+    b = np.sqrt(room)
     return f, np.minimum(np.sqrt(y), 0.5 * b), b
 
 

@@ -174,8 +174,9 @@ def entry_gap_longdouble(r, eps0, psi):
     return float(np.abs(np.abs(c) - np.longdouble(1)))
 
 
-def _bouncing_zeta_mp(r, eps0, u):
-    """zeta of a bouncing excursion at gap u = c-1, as an mpmath integral.
+def _bouncing_mp(r, eps0, u, weight):
+    """int_0^sqrt(eps0 - y) weight(c, xi) 2w sqrt(1+xi'^2) / sqrt(xi^2-c^2) dw
+    for a bouncing excursion at gap u = c-1, as an mpmath integral.
 
     Integrated in w, s = y + w^2 with y = u^(1/r), so the turning-point
     singularity is gone; xi - c = s^r - u is factored as
@@ -191,10 +192,20 @@ def _bouncing_zeta_mp(r, eps0, u):
         ximc = y**r * mpmath.expm1(r * mpmath.log1p(w * w / y))
         xipc = 2 + u + s**r
         g = mpmath.sqrt(1 + (r * s ** (r - 1)) ** 2)
-        return 4 * c * w * g / ((1 + s**r) * mpmath.sqrt(ximc * xipc))
+        return weight(c, 1 + s**r) * 2 * w * g / mpmath.sqrt(ximc * xipc)
 
     hi = mpmath.sqrt(eps0 - y)
     return mpmath.quad(f, [0, min(mpmath.sqrt(y), hi / 2), hi])
+
+
+def _bouncing_zeta_mp(r, eps0, u):
+    """zeta of a bouncing excursion at gap u = c-1 (see _bouncing_mp)."""
+    return _bouncing_mp(r, eps0, u, lambda c, xi: 2 * c / xi)
+
+
+def _bouncing_upsilon0_mp(r, eps0, u):
+    """Upsilon0 of a bouncing excursion at gap u = c-1 (see _bouncing_mp)."""
+    return _bouncing_mp(r, eps0, u, lambda c, xi: xi)
 
 
 def dzeta_du(r, eps0, u, dps=40):

@@ -205,6 +205,41 @@ def test_lockstep_stall_names_the_row():
     assert y_end[:, 1] == pytest.approx([3.0, 3.0], rel=1e-14)
 
 
+@pytest.mark.parametrize("rows", [1, 257])
+@pytest.mark.parametrize("dim", [3, 4])
+def test_stage_sums_add_in_stage_order(dim, rows):
+    # every tableau row the engine combines, against a plain accumulation of
+    # its nonzero terms in stage order: a reordered (BLAS) sum fails this
+    tab = dynamics._dop853
+    n = tab.N_STAGES
+    coefficients = [tab.A[i, :i] for i in [*range(1, n), *range(n + 1, tab.N_STAGES_EXTENDED)]]
+    coefficients += [tab.B, tab.E3, tab.E5, *tab.D]
+    rng = np.random.default_rng(dim * rows)
+    K = rng.standard_normal((tab.N_STAGES_EXTENDED, dim, rows)) * 10.0 ** rng.uniform(
+        -6.0, 6.0, (tab.N_STAGES_EXTENDED, dim, rows)
+    )
+    for a in coefficients:
+        terms = [(float(c), K[j].tolist()) for j, c in enumerate(a) if c != 0.0]
+        expected = []
+        for k in range(dim):
+            row = []
+            for m in range(rows):
+                total = None
+                for c, Kj in terms:
+                    total = c * Kj[k][m] if total is None else total + c * Kj[k][m]
+                row.append(total)
+            expected.append(row)
+        assert dynamics._combine(K, a).tolist() == expected
+
+
+@pytest.mark.parametrize("dim", [1, 8])
+def test_lockstep_rejects_dims_without_batch_invariance(dim):
+    # a lone row with one component sums its stages pairwise, and one with
+    # 8 components its error norm: its bits would depend on the batch
+    with pytest.raises(ValueError, match=f"got {dim}"):
+        _lockstep(lambda t, y: tuple(-y), [[1.0] * dim], 1.0, 1e-10, 1e-12)
+
+
 @pytest.mark.parametrize("psi", [0.4, 1.03, 1.06, 0.5 * math.pi])
 def test_event_root_on_a_shared_step(prof4, psi):
     # scipy's DOP853 stepped until the exit event is bracketed; on that one
@@ -222,9 +257,11 @@ def test_event_root_on_a_shared_step(prof4, psi):
         assert solver.status == "running"
         solver.step()
         hits = [crossed(e) for e in events]
+    # scipy's 13 stages, padded to the engine's 16-stage buffer of one row
+    K = np.zeros((dynamics._dop853.N_STAGES_EXTENDED, 3, 1))
+    K[: len(solver.K), :, 0] = solver.K
     ((root, state),) = dynamics._event_roots(
-        lambda t, y: np.array(rhs(t, y)), events, hits,
-        [k[:, None] for k in solver.K], np.array([solver.t_old]), np.array([solver.t]),
+        rhs, events, hits, K, np.array([solver.t_old]), np.array([solver.t]),
         solver.y_old[:, None], solver.y[:, None],
     )
     sol = solver.dense_output()

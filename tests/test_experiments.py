@@ -300,12 +300,23 @@ def test_tail_chunk_counts_bracket_samples_like_the_kernel(key, monkeypatch):
     assert counts[-2] == psi.size and 0 < counts[0] < psi.size
 
 
-@pytest.mark.parametrize("r", [4.0, 6.0])
-def test_survivor_brackets_kernel_pass_budget(r, monkeypatch):
+@pytest.mark.parametrize(
+    "r, eps0, n_hi, extra, budget",
+    [
+        pytest.param(4.0, 1.0, 1040, [], 10, id="4.0"),
+        pytest.param(6.0, 1.0, 1040, [], 10, id="6.0"),
+        # the tail-chunk test's thresholds, where one root lies between two
+        # adjacent doubles of psi (at r=6, eps0=0.5 the root of 1e5)
+        pytest.param(6.0, 0.5, 1200, [1.0, 1e5], 12, id="6.0-0.5-adjacent"),
+        pytest.param(10.0, 1.0, 1200, [1.0, 1e5], 12, id="10.0-1.0-adjacent"),
+    ],
+)
+def test_survivor_brackets_kernel_pass_budget(r, eps0, n_hi, extra, budget, monkeypatch):
     # 2*Upsilon0 is nearly a power of |psi - psi0|, so the secant search
-    # finds criterion 5's roots in a few kernel passes
-    prof = SurfaceProfile(r=r, eps0=1.0)
-    thr = default_thresholds(prof, n_hi=1040)
+    # finds criterion 5's roots in a few kernel passes, and stops a root
+    # once no double angle lies strictly inside its bracket
+    prof = SurfaceProfile(r=r, eps0=eps0)
+    thr = np.append(default_thresholds(prof, n_hi=n_hi), extra)
     calls = []
     kernel = transition.excursion_integrals
 
@@ -315,7 +326,7 @@ def test_survivor_brackets_kernel_pass_budget(r, monkeypatch):
 
     monkeypatch.setattr(transition, "excursion_integrals", spy)
     _survivor_brackets(prof, entry_window(prof), thr)
-    assert len(calls) <= 10
+    assert len(calls) <= budget
 
 
 def test_tail_brackets_without_width_fail_the_certificate(monkeypatch):

@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,6 +275,27 @@ def test_bouncing_derivs_one_ulp_below_asymptote(prof4):
     assert entry_data(prof4, psi).klass is TrajectoryClass.BOUNCING
     d = _assert_matches_oracle(prof4, psi)
     assert math.isfinite(d.zeta_prime) and math.isfinite(d.zeta_second)
+
+
+@pytest.mark.parametrize("key", [(4.0, 1.0), (6.0, 1.0), (4.0, 2.0)])
+def test_near_grazing_bouncing_rows_match_mpmath_or_raise(key):
+    # as psi -> 0 the turning radius y nears eps0 and eps0 - y cancels: each
+    # value must match 60-digit mpmath at the exact gap a cos(psi) - 1 to
+    # the 1e-9 ceiling, or raise
+    prof = SurfaceProfile(r=key[0], eps0=key[1])
+    oracles = ((zeta, orc._bouncing_zeta_mp), (upsilon0, orc._bouncing_upsilon0_mp))
+    for psi in (1e-2, 1e-3, 1e-4, 1e-5, 1e-7, 1e-9):
+        for value, oracle in oracles:
+            try:
+                got = value(prof, psi)
+            except AccuracyError:
+                assert psi < 1e-2, "a row clear of grazing must return"
+                continue
+            with mpmath.workdps(60):
+                r, eps0 = mpmath.mpf(prof.r), mpmath.mpf(prof.eps0)
+                u = (1 + eps0**r) * mpmath.cos(mpmath.mpf(psi)) - 1
+                ref = float(oracle(r, eps0, u))
+            assert got == pytest.approx(ref, rel=1e-9, abs=0.0), (psi, value.__name__)
 
 
 def test_apply_f0_matches_flow(prof4):
