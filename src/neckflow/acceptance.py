@@ -15,8 +15,9 @@ scaled down, so a green suite is the package's actual accuracy contract:
  6. Band width and accumulation asymptotics.
  7. Model-integral limit ratios and brute-force oracle agreement.
  8. Curvature pinching on the punctured neck.
- 9. Jacobi/Riccati consistency, flat closed form, Sasaki sandwich,
-    horocycle-constant scan stability.
+ 9. Jacobi/Riccati consistency, flat closed form and Sasaki sandwich,
+    sampled by one linearization.co_flow_rows batch, and horocycle-constant
+    scan stability.
 10. Bounded-distortion trend flatness.
 11. Byte-identical reruns.
 """
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import bands, transition
 from .asymptotics import fit_exponent, model_table
-from .dynamics import GeodesicState, integrate, neck_transit, neck_transits
+from .dynamics import neck_transits
 from .experiments import (
     ExperimentConfig,
     chunk_rng,
@@ -39,13 +40,7 @@ from .experiments import (
     scaling_suite,
     tail_estimate,
 )
-from .linearization import (
-    horocycle_scan,
-    integrate_jacobi,
-    integrate_riccati,
-    riccati_flat,
-    sasaki_growth,
-)
+from .linearization import co_flow_rows, horocycle_scan, riccati_flat, sasaki_growth
 from .outputs import json_payload, json_text
 from .surface import SurfaceProfile
 
@@ -309,48 +304,45 @@ def criterion_8_pinching() -> CriterionResult:
     )
 
 
+def _linearization_rows(profile):
+    """Criterion 9's co-flow batch (s, psi, u0, t), 1202 rows: 200 sample
+    times along each of three transits of different type, 101 along the
+    degenerate parallel orbit for each of two u0, and 400 along a meridian
+    transit, every time span from one neck_transits batch."""
+    transits = ((0.52, 0.7), (0.62, 0.3), (0.5 * math.pi - 0.01, 1.0))
+    span, *_ = neck_transits(profile, [psi for psi, _ in transits] + [0.5 * math.pi])
+    groups = [(-1.0, psi, u0, np.linspace(0.0, T, 200)) for (psi, u0), T in zip(transits, span)]
+    groups += [(0.0, 0.0, u0, np.linspace(0.0, 5.0, 101)) for u0 in (0.5, 1.0)]
+    groups.append((-1.0, 0.5 * math.pi, 0.8, np.linspace(0.0, span[3], 400)))
+    return [np.concatenate(c) for c in zip(*(np.broadcast_arrays(*g) for g in groups))]
+
+
 def criterion_9_linearization() -> CriterionResult:
     t0 = time.perf_counter()
     failures: list[str] = []
     details = {}
     profile = SurfaceProfile(r=4.0, eps0=1.0)
+    s, psi, u0, t = _linearization_rows(profile)
+    j, jp, u, int_u, _ = co_flow_rows(profile, s, psi, u0, t)
+    transits, ridge, meridian = slice(0, 600), slice(600, 802), slice(802, None)
 
-    # Riccati/Jacobi consistency along three transits of different type
-    worst = 0.0
-    for psi, u0 in ((0.52, 0.7), (0.62, 0.3), (0.5 * math.pi - 0.01, 1.0)):
-        host = neck_transit(profile, GeodesicState(-1.0, 0.0, psi)).path
-        rp = integrate_riccati(profile, host, u0)
-        jp = integrate_jacobi(profile, host, 1.0, u0)
-        ts = np.linspace(0.0, min(rp.t[-1], host.t_end), 200)
-        for tt in ts:
-            j, jd = jp.at(tt)
-            u, _ = rp.at(tt)
-            worst = max(worst, abs(jd / j - u))
+    # Riccati/Jacobi consistency along the three transits
+    worst = float(np.max(np.abs(jp[transits] / j[transits] - u[transits])))
     details["consistency"] = worst
     _check(failures, worst <= 1e-7, f"|j'/j - u| = {worst:.3e} > 1e-7")
 
     # flat closed form along the degenerate parallel orbit
-    ridge = integrate(profile, GeodesicState(0.0, 0.0, 0.0), (0.0, 5.0))
-    flat_err = 0.0
-    for u0 in (0.5, 1.0):
-        rp = integrate_riccati(profile, ridge, u0)
-        ts = np.linspace(0.0, 5.0, 101)
-        flat_err = max(
-            flat_err, float(np.max(np.abs([rp.at(t)[0] for t in ts] - riccati_flat(u0, ts))))
-        )
+    flat_err = float(np.max(np.abs(u[ridge] - riccati_flat(u0[ridge], t[ridge]))))
     details["flat_error"] = flat_err
     _check(failures, flat_err <= 1e-9, f"flat Riccati error {flat_err:.3e} > 1e-9")
 
-    # delta-sandwich along a meridian transit
-    host = neck_transit(profile, GeodesicState(-1.0, 0.0, 0.5 * math.pi)).path
-    rp = integrate_riccati(profile, host, 0.8)
-    t_end = float(rp.t[-1])
-    base = math.exp(rp.at(t_end)[1])
-    us = np.array([rp.at(t)[0] for t in np.linspace(0.0, t_end, 400)])
+    # delta-sandwich along the meridian transit, whose last row ends its span
+    us = u[meridian]
+    base = math.exp(int_u[-1])
     prev = math.inf
     for delta in (0.1, 0.01, 0.001):
         c_delta = float(np.sqrt(1.0 + delta * us**2).max())
-        ratio = sasaki_growth(rp, delta, t_end) / base
+        ratio = float(sasaki_growth(u0[-1], u[-1], int_u[-1], delta)) / base
         details[f"c_delta_{delta:g}"] = c_delta
         _check(
             failures,

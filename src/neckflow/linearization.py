@@ -7,22 +7,22 @@ The scalar linearized equations
 
 are solved along a host geodesic, and every one rides with its host: the
 footpoint (s, psi) is flowed in the same DOP853 run and K is read there.
-integrate_jacobi and integrate_riccati do this with solve_ivp (_co_flow),
-whose dense output their paths keep; their error gauge is the co-flowed
-host's Clairaut drift.
+All of it runs on dynamics._lockstep.  co_flow_rows co-flows j, j', u and
+the integral of u with one row per sample time, each row ending at its own
+time, so no dense output is needed; its error gauge is the co-flowed host's
+Clairaut drift.
 
 Since K <= 0 on the neck, Riccati solutions started at u >= 0 stay
 nonnegative, and unstable_riccati recovers the unstable curvature k+ of a
 vector by relaxing two seeds over a finite backward window and reading off
 their common value at the endpoint.  horocycle_scan relaxes its whole grid,
-k+ and k- of every point at two tolerance levels, in two lockstep batches of
-dynamics._lockstep (one per leg); unstable_riccati is the one-row case of the
-same code, so a vector's numbers do not depend on the batch it rides in.
-Each vector carries two runtime error estimates: the host's return to the
-input vector, and the distance between its seeds at the two levels.  The
-residual seed separation is reported as an explicit confidence diagnostic,
-because the contraction that forgets the seed is weak near the degenerate
-parallel.
+k+ and k- of every point at two tolerance levels, in two lockstep batches
+(one per leg); unstable_riccati is the one-row case of the same code, so a
+vector's numbers do not depend on the batch it rides in.  Each vector
+carries two runtime error estimates: the host's return to the input vector,
+and the distance between its seeds at the two levels.  The residual seed
+separation is reported as an explicit confidence diagnostic, because the
+contraction that forgets the seed is weak near the degenerate parallel.
 """
 from __future__ import annotations
 
@@ -30,12 +30,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401  perfbench/tracing.py wraps it by name
 
 from .dynamics import (
-    GeodesicPath,
     GeodesicState,
-    _check_stall,
     _clairaut_drift,
     _lockstep,
     _make_events,
@@ -45,10 +43,8 @@ from .dynamics import (
 from .errors import AccuracyError, IntegrationStallError
 from .surface import SurfaceProfile
 
-# integrate_jacobi and integrate_riccati: tolerances, and the Clairaut drift
-# their co-flowed host may show
+# co_flow_rows: tolerances, and the Clairaut drift its co-flowed host may show
 _RTOL, _ATOL, _DRIFT_TOL = 1e-11, 1e-13, 1e-8
-_BLOWUP = 1e8
 # unstable_riccati's forward-leg tolerances at scale 1 (see _LEVELS); the
 # backward leg runs at a hundredth, its rtol no lower than scipy's floor of
 # 100 eps
@@ -83,79 +79,58 @@ def _co_rhs(profile, linear, xp=math):
     return rhs
 
 
-def _co_flow(profile, start, t_span, linear, y0, rtol, atol, events=None):
-    """One DOP853 run of (s, psi, *y0) from the footpoint start = (s, psi),
-    with dense output."""
-    sol = solve_ivp(
-        _co_rhs(profile, linear),
-        t_span,
-        [*start, *y0],
-        method="DOP853",
-        dense_output=True,
-        events=events,
-        rtol=rtol,
-        atol=atol,
-    )
-    _check_stall(sol)
-    return sol
+def _jacobi_riccati(k, y):
+    """Derivative of (j, j', u, int u) in the rows (s, psi, j, j', u, int u)."""
+    return (y[3], -k * y[2], -(y[4] * y[4]) - k, y[4])
 
 
-def _along(profile: SurfaceProfile, path: GeodesicPath, linear, y0, events=None):
-    """_co_flow over path's span from its first state; AccuracyError if the
-    host's Clairaut drift from path.c0 over the accepted steps exceeds _DRIFT_TOL."""
-    s0, _, psi0 = path.states[:, 0]
-    t_span = (float(path.t[0]), path.t_end)
-    sol = _co_flow(profile, (s0, psi0), t_span, linear, y0, _RTOL, _ATOL, events)
-    drift = float(np.max(np.abs(_clairaut_drift(profile, sol.y[0], sol.y[1], path.c0))))
-    if drift > _DRIFT_TOL:
-        raise AccuracyError(
-            f"co-flowed host drifts {drift:.3e} in its Clairaut constant "
-            f"(tolerance {_DRIFT_TOL:.0e})",
-            achieved=drift,
-        )
-    return sol
+def co_flow_rows(profile: SurfaceProfile, s, psi, u0, t):
+    """Jacobi and Riccati solutions at sample times, one _lockstep row each.
 
-
-@dataclass
-class JacobiPath:
-    """Jacobi amplitude along a host path: j'' = -K j from (j0, jp0)."""
-
-    t: np.ndarray
-    j: np.ndarray
-    jp: np.ndarray
-    _sol: object
-
-    def at(self, t: float) -> tuple[float, float]:
-        y = self._sol(t)
-        return float(y[2]), float(y[3])
-
-
-def integrate_jacobi(
-    profile: SurfaceProfile, path: GeodesicPath, j0: float, jp0: float
-) -> JacobiPath:
-    sol = _along(profile, path, lambda k, y: (y[3], -k * y[2]), (j0, jp0))
-    return JacobiPath(t=sol.t, j=sol.y[2], jp=sol.y[3], _sol=sol.sol)
-
-
-@dataclass
-class RiccatiPath:
-    """u = j'/j along a host path, with its running integral co-computed.
-
-    int_u holds I(t) = int_{t0}^t u, accumulated inside the same solver run
-    as u itself so that exp(I) is consistent with u to solver accuracy.
-    blow_up brackets the finite-time escape u -> -inf when one occurs; the
-    path then ends at the bracket's left edge.
+    Row i co-flows (s, psi, j, j', u, int u) from (s[i], psi[i], 1, u0[i],
+    u0[i], 0) to t[i] (the arguments broadcast together), so j solves
+    Jacobi's equation from (j, j')(0) = (1, u0), u Riccati's from u0 and int
+    u is u's running integral, all reading K at the footpoint flowed with
+    them.  A row ends at its own time and rows are batch-invariant, so every
+    sample gets the bits it would get alone.  Returns the arrays (j, jp, u,
+    int_u, drift), drift being each row's largest Clairaut drift over its
+    start and accepted steps.  u0 must be finite and t finite and
+    nonnegative (ValueError).  A drift above _DRIFT_TOL raises AccuracyError
+    and solver breakdown IntegrationStallError, both naming the row's start
+    and time; a Riccati escape u -> -inf, which K <= 0 rules out from u0 >=
+    0, breaks the solver down at the escape time.
     """
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (s, psi, u0, t)))
+    s, psi, u0, t = (np.ravel(v) for v in arrays)
+    if not (np.all(np.isfinite(u0)) and np.all(np.isfinite(t) & (t >= 0.0))):
+        raise ValueError("Jacobi/Riccati rows need a finite u0 and a finite time t >= 0")
+    profile._check_domain(s)
+    c0 = _clairaut_drift(profile, s, psi, 0.0)
 
-    t: np.ndarray
-    u: np.ndarray
-    int_u: np.ndarray
-    blow_up: tuple[float, float] | None
-    _sol: object
+    def where(i):
+        return f"at s={float(s[i])}, psi={float(psi[i])}, u0={float(u0[i])}, t={float(t[i])}"
 
-    def at(self, t: float) -> tuple[float, float]:
-        y = self._sol(t)
-        return float(y[2]), float(y[3])
+    try:
+        _, y, _, drift = _lockstep(
+            _co_rhs(profile, _jacobi_riccati, np),
+            np.column_stack([s, psi, np.ones(s.size), u0, u0, np.zeros(s.size)]),
+            t,
+            _RTOL,
+            _ATOL,
+            (),
+            lambda rows, y: _clairaut_drift(profile, y[0], y[1], c0[rows]),
+        )
+    except IntegrationStallError as exc:
+        raise IntegrationStallError(f"{exc} {where(exc.row)}", exc.t_reached) from exc
+    bad = np.flatnonzero(drift > _DRIFT_TOL)
+    if bad.size:
+        i = bad[np.argmax(drift[bad])]
+        raise AccuracyError(
+            f"co-flowed host drifts {drift[i]:.3e} in its Clairaut constant "
+            f"(tolerance {_DRIFT_TOL:.0e}) {where(i)}",
+            achieved=float(drift[i]),
+        )
+    return y[:, 2], y[:, 3], y[:, 4], y[:, 5], drift
 
 
 def riccati_flat(u0: float, t) -> np.ndarray:
@@ -164,39 +139,17 @@ def riccati_flat(u0: float, t) -> np.ndarray:
     return u0 / (1.0 + u0 * t)
 
 
-def integrate_riccati(profile: SurfaceProfile, path: GeodesicPath, u0: float) -> RiccatiPath:
-    if not math.isfinite(u0):
-        raise ValueError("Riccati initial value must be finite")
+def sasaki_growth(u0, u, int_u, delta: float) -> np.ndarray:
+    """Norm growth sqrt((1+delta*u^2)/(1+delta*u0^2)) * exp(int_u), elementwise.
 
-    def escape(t, y):
-        return y[2] + _BLOWUP
-
-    escape.terminal = True
-    escape.direction = -1.0
-
-    sol = _along(profile, path, lambda k, y: (-(y[2] * y[2]) - k, y[2]), (u0, 0.0), [escape])
-    blow_up = None
-    if sol.t_events[0].size:
-        # past u = -B the solution reaches -inf within 1/B; bracket it
-        t_hit = float(sol.t_events[0][0])
-        blow_up = (t_hit, t_hit + 2.0 / _BLOWUP)
-    return RiccatiPath(t=sol.t, u=sol.y[2], int_u=sol.y[3], blow_up=blow_up, _sol=sol.sol)
-
-
-def sasaki_growth(rpath: RiccatiPath, delta: float, t: float | None = None) -> float:
-    """Norm growth sqrt((1+delta*u(t)^2)/(1+delta*u(0)^2)) * exp(int_0^t u).
-
-    This equals the delta-weighted norm sqrt(j^2 + delta j'^2) of the Jacobi
-    solution with (j, j')(0) = (1, u(0)), divided by its initial norm: the
-    identity j = exp(int u), j' = u j turns one into the other.
+    For a co_flow_rows row this equals the delta-weighted norm sqrt(j^2 +
+    delta j'^2) of the Jacobi solution with (j, j')(0) = (1, u0), divided by
+    its initial norm: the identity j = exp(int u), j' = u j turns one into
+    the other.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    if t is None:
-        t = float(rpath.t[-1])
-    u1, i1 = rpath.at(t)
-    u0 = float(rpath.u[0])
-    return math.sqrt((1.0 + delta * u1 * u1) / (1.0 + delta * u0 * u0)) * math.exp(i1)
+    return np.sqrt((1.0 + delta * u * u) / (1.0 + delta * u0 * u0)) * np.exp(int_u)
 
 
 @dataclass(frozen=True)
@@ -327,15 +280,6 @@ def unstable_riccati(
     Solver breakdown raises IntegrationStallError.
     """
     return _unstable_batch(profile, [state], relax_time, spread_tol)[0]
-
-
-def k_plus(profile: SurfaceProfile, state: GeodesicState) -> UnstableEstimate:
-    return unstable_riccati(profile, state)
-
-
-def k_minus(profile: SurfaceProfile, state: GeodesicState) -> UnstableEstimate:
-    """Stable-horocycle curvature magnitude, via time reversal of k+."""
-    return unstable_riccati(profile, reverse(state))
 
 
 @dataclass

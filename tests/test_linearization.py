@@ -1,6 +1,5 @@
 import math
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,22 +7,20 @@ from scipy.integrate import solve_ivp
 
 import _oracles as orc
 from neckflow import linearization
+from neckflow.acceptance import _linearization_rows
 from neckflow.dynamics import (
     GeodesicState,
     _lockstep,
     _make_events,
     _make_rhs,
-    integrate,
     neck_transit,
+    neck_transits,
     reverse,
 )
 from neckflow.errors import AccuracyError, IntegrationStallError
 from neckflow.linearization import (
+    co_flow_rows,
     horocycle_scan,
-    integrate_jacobi,
-    integrate_riccati,
-    k_minus,
-    k_plus,
     riccati_flat,
     sasaki_growth,
     unstable_riccati,
@@ -36,9 +33,9 @@ def default_scan(prof4):
     return horocycle_scan(prof4)
 
 
-def _ridge_path(prof, t1=5.0):
-    # the degenerate parallel: K = 0 for all time
-    return integrate(prof, GeodesicState(0.0, 0.0, 0.0), (0.0, t1))
+def _span(prof, psi):
+    """Transit time of the entry (-eps0, 0, psi)."""
+    return float(neck_transits(prof, [psi])[0][0])
 
 
 def test_riccati_flat_closed_form():
@@ -47,22 +44,20 @@ def test_riccati_flat_closed_form():
 
 
 def test_riccati_on_ridge_matches_flat(prof4):
-    path = _ridge_path(prof4)
+    # the degenerate parallel: K = 0 for all time
     ts = np.linspace(0.0, 5.0, 41)
     for u0 in (0.5, 1.0):
-        rp = integrate_riccati(prof4, path, u0)
-        worst = max(abs(rp.at(t)[0] - riccati_flat(u0, t)) for t in ts)
-        assert worst <= 1e-9
+        _, _, u, _, _ = co_flow_rows(prof4, 0.0, 0.0, u0, ts)
+        assert np.max(np.abs(u - riccati_flat(u0, ts))) <= 1e-9
 
 
 def test_riccati_blow_up_bracketed(prof4):
-    # flat solution from u0 = -2 reaches -inf at t = 1/2
-    path = _ridge_path(prof4)
-    rp = integrate_riccati(prof4, path, -2.0)
-    assert rp.blow_up is not None
-    lo, hi = rp.blow_up
-    assert lo <= 0.5 <= hi + 1e-7
-    assert hi - lo <= 1e-6
+    # the flat solution from u0 = -2 reaches -inf at t = 1/2; the row
+    # breaks down there, and the time it reached brackets the escape
+    where = r"at s=0\.0, psi=0\.0, u0=-2\.0, t=5\.0$"
+    with pytest.raises(IntegrationStallError, match=where) as info:
+        co_flow_rows(prof4, 0.0, 0.0, -2.0, 5.0)
+    assert info.value.t_reached == pytest.approx(0.5, abs=1e-6)
 
 
 def test_jacobi_against_rk4_oracle(prof4):
@@ -72,64 +67,52 @@ def test_jacobi_against_rk4_oracle(prof4):
     def K_of_t(t):
         return float(prof4.curvature(min(max(host.state_at(t).s, -1.0), 1.0)))
 
-    jp = integrate_jacobi(prof4, host, 1.0, 0.3)
+    j, jd, *_ = co_flow_rows(prof4, -1.0, 0.62, 0.3, T)
     j_ref, jp_ref = orc.jacobi_reference(K_of_t, 1.0, 0.3, T, steps=20_000)
-    j, jd = jp.at(T)
-    assert j == pytest.approx(j_ref, rel=1e-8)
-    assert jd == pytest.approx(jp_ref, rel=1e-8)
+    assert j[0] == pytest.approx(j_ref, rel=1e-8)
+    assert jd[0] == pytest.approx(jp_ref, rel=1e-8)
 
 
 def test_riccati_jacobi_consistency(prof4):
-    host = neck_transit(prof4, GeodesicState(-1.0, 0.0, 0.55)).path
-    rp = integrate_riccati(prof4, host, 0.4)
-    jp = integrate_jacobi(prof4, host, 1.0, 0.4)
-    for t in np.linspace(0.1, host.t_end, 25):
-        j, jd = jp.at(t)
-        u, _ = rp.at(t)
-        assert jd / j == pytest.approx(u, abs=1e-8)
+    ts = np.linspace(0.1, _span(prof4, 0.55), 25)
+    j, jd, u, _, _ = co_flow_rows(prof4, -1.0, 0.55, 0.4, ts)
+    for a, b in zip(jd / j, u):
+        assert a == pytest.approx(b, abs=1e-8)
 
 
 def test_riccati_comparison_lower_bound(prof4):
     """With K <= 0, u' >= -u^2, so u dominates the flat evolution."""
-    host = neck_transit(prof4, GeodesicState(-1.0, 0.0, 0.7)).path
-    rp = integrate_riccati(prof4, host, 0.9)
-    times = np.linspace(0.0, host.t_end, 30)
-    for ta, tb in zip(times[:-1], times[1:]):
-        ua = rp.at(ta)[0]
-        ub = rp.at(tb)[0]
+    times = np.linspace(0.0, _span(prof4, 0.7), 30)
+    _, _, u, _, _ = co_flow_rows(prof4, -1.0, 0.7, 0.9, times)
+    for ta, tb, ua, ub in zip(times[:-1], times[1:], u[:-1], u[1:]):
         assert ub >= ua / ((tb - ta) * ua + 1.0) - 1e-9
 
 
 def test_riccati_integral_consistent_with_u(prof4):
-    host = neck_transit(prof4, GeodesicState(-1.0, 0.0, 0.8)).path
-    rp = integrate_riccati(prof4, host, 0.6)
     # int_u is co-integrated: check against trapezoid of u on a fine grid
-    ts = np.linspace(0.0, host.t_end, 2001)
-    us = np.array([rp.at(t)[0] for t in ts])
+    ts = np.linspace(0.0, _span(prof4, 0.8), 2001)
+    _, _, us, int_u, _ = co_flow_rows(prof4, -1.0, 0.8, 0.6, ts)
     i_trap = np.trapezoid(us, ts)
-    assert rp.at(host.t_end)[1] == pytest.approx(i_trap, rel=1e-6)
+    assert int_u[-1] == pytest.approx(i_trap, rel=1e-6)
 
 
 def test_sasaki_growth_identity(prof4):
-    host = neck_transit(prof4, GeodesicState(-1.0, 0.0, 0.9)).path
-    rp = integrate_riccati(prof4, host, 0.5)
-    T = host.t_end
-    jp = integrate_jacobi(prof4, host, 1.0, 0.5)
+    j, jd, u, int_u, _ = co_flow_rows(prof4, -1.0, 0.9, 0.5, _span(prof4, 0.9))
     for delta in (1.0, 0.01):
-        j, jd = jp.at(T)
-        norm_ratio = math.sqrt((j * j + delta * jd * jd) / (1.0 + delta * 0.25))
-        assert sasaki_growth(rp, delta, T) == pytest.approx(norm_ratio, rel=1e-8)
+        norm_ratio = np.sqrt((j * j + delta * jd * jd) / (1.0 + delta * 0.25))
+        assert sasaki_growth(0.5, u, int_u, delta) == pytest.approx(norm_ratio, rel=1e-8)
     with pytest.raises(ValueError):
-        sasaki_growth(rp, 0.0)
+        sasaki_growth(0.5, u, int_u, 0.0)
 
 
 def test_unstable_riccati_ridge(prof4):
-    """On the flat parallel the true unstable value is 0."""
+    """On the flat parallel the true unstable value is 0; off it, k+ > 0."""
     est = unstable_riccati(prof4, GeodesicState(0.0, 0.0, 0.0), relax_time=20.0)
     assert est.value <= est.spread  # consistent with 0 within confidence
     assert est.confident
     assert not est.truncated
     assert est.window == pytest.approx(20.0)
+    assert unstable_riccati(prof4, GeodesicState(0.2, 0.0, 0.3)).value > 0.0
 
 
 def test_unstable_riccati_spread_shrinks_with_window(prof4):
@@ -149,14 +132,6 @@ def test_unstable_riccati_truncates_at_boundary(prof4):
     est = unstable_riccati(prof4, st, relax_time=50.0)
     assert est.truncated
     assert est.window < 50.0
-
-
-def test_k_minus_is_time_reversed_k_plus(prof4):
-    st = GeodesicState(0.2, 0.0, 0.3)
-    a = k_minus(prof4, st)
-    b = k_plus(prof4, reverse(st))
-    assert a.value == pytest.approx(b.value, rel=1e-12)
-    assert k_plus(prof4, st).value > 0.0
 
 
 def test_horocycle_scan_default_grid(default_scan):
@@ -279,7 +254,7 @@ def test_lockstep_rows_do_not_depend_on_their_batch():
     assert rows == flipped[::-1]
     for row in rows:
         st = GeodesicState(row["s"], 0.0, row["psi"])
-        plus, minus = unstable_riccati(profile, st), k_minus(profile, st)
+        plus, minus = unstable_riccati(profile, st), unstable_riccati(profile, reverse(st))
         assert (plus.value, minus.value) == (row["k_plus"], row["k_minus"])
         assert max(plus.spread, minus.spread) == row["spread"]
 
@@ -460,59 +435,35 @@ def test_scan_stall_names_the_vector(prof4, monkeypatch, leg):
         linearization._unstable_batch(prof4, states, 4.0, 0.25)
 
 
-def _stalling_solve_ivp(fail_on_call):
-    """A solve_ivp that breaks down on its fail_on_call-th call (from 1)."""
-    calls = []
-
-    def fake(fun, t_span, y0, **kw):
-        calls.append(t_span)
-        if len(calls) < fail_on_call:
-            return solve_ivp(fun, t_span, y0, **kw)
-        t_mid = 0.5 * (t_span[0] + t_span[1])
-        return SimpleNamespace(
-            status=-1,
-            message="Required step size is less than spacing between numbers.",
-            t=np.array([t_span[0], t_mid]),
-            y=np.array(y0, dtype=float)[:, None].repeat(2, axis=1),
-        )
-
-    return fake
-
-
 def test_riccati_and_jacobi_stall_raise(prof4, monkeypatch):
-    path = _ridge_path(prof4)
-    monkeypatch.setattr(linearization, "solve_ivp", _stalling_solve_ivp(1))
-    for run in (
-        lambda: integrate_riccati(prof4, path, 0.5),
-        lambda: integrate_jacobi(prof4, path, 1.0, 0.5),
-    ):
-        with pytest.raises(IntegrationStallError) as info:
-            run()
-        assert info.value.t_reached == pytest.approx(2.5)
-
-
-class _NoDenseOutput:
-    def __call__(self, t):
-        raise AssertionError("the host path's dense output was read")
-
-
-def test_riccati_and_jacobi_flow_their_own_host(prof4):
-    # only the first state and the span of the host path are read
-    path = neck_transit(prof4, GeodesicState(-1.0, 0.0, 0.62)).path
-    rp = integrate_riccati(prof4, path, 0.3)
-    jp = integrate_jacobi(prof4, path, 1.0, 0.3)
-    path._sol = _NoDenseOutput()
-    assert integrate_riccati(prof4, path, 0.3).at(path.t_end) == rp.at(path.t_end)
-    assert integrate_jacobi(prof4, path, 1.0, 0.3).at(path.t_end) == jp.at(path.t_end)
+    _stall_leg(monkeypatch, 1)
+    # the row sampled at t = 1 ends before the field turns NaN; the other stalls
+    where = r"row 1: .* at s=0\.0, psi=0\.0, u0=0\.5, t=5\.0$"
+    with pytest.raises(IntegrationStallError, match=where) as info:
+        co_flow_rows(prof4, [0.0, 0.0], 0.0, 0.5, [1.0, 5.0])
+    assert info.value.t_reached == pytest.approx(2.0)
 
 
 def test_riccati_and_jacobi_check_host_drift(prof4, monkeypatch):
-    path = neck_transit(prof4, GeodesicState(-1.0, 0.0, 0.62)).path
     monkeypatch.setattr(linearization, "_DRIFT_TOL", 0.0)
-    for run in (
-        lambda: integrate_riccati(prof4, path, 0.3),
-        lambda: integrate_jacobi(prof4, path, 1.0, 0.3),
-    ):
-        with pytest.raises(AccuracyError) as info:
-            run()
-        assert 0.0 < info.value.achieved <= 1e-10
+    with pytest.raises(AccuracyError, match=r"at s=-1\.0, psi=0\.62, u0=0\.3, t=") as info:
+        co_flow_rows(prof4, -1.0, 0.62, 0.3, _span(prof4, 0.62))
+    assert 0.0 < info.value.achieved <= 1e-10
+
+
+def test_co_flow_rows_do_not_depend_on_their_batch():
+    # rows of criterion 9's batch from each transit, the ridge and the
+    # meridian: each alone must give the bits it gets in the batch
+    profile = SurfaceProfile(4.0, 1.0)
+    s, psi, u0, t = _linearization_rows(profile)
+    assert t.size == 1202
+    batch = np.column_stack(co_flow_rows(profile, s, psi, u0, t)[:4])
+    for i in (0, 137, 250, 399, 599, 650, 801, 1000, 1201):
+        alone = np.column_stack(co_flow_rows(profile, s[i], psi[i], u0[i], t[i])[:4])
+        assert alone[0].tobytes() == batch[i].tobytes()
+
+
+def test_co_flow_rows_reject_bad_inputs(prof4):
+    for u0, t in ((math.nan, 1.0), (math.inf, 1.0), (0.5, -1.0), (0.5, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            co_flow_rows(prof4, 0.0, 0.0, u0, t)
