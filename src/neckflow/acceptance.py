@@ -17,7 +17,8 @@ scaled down, so a green suite is the package's actual accuracy contract:
  8. Curvature pinching on the punctured neck.
  9. Jacobi/Riccati consistency, flat closed form and Sasaki sandwich,
     sampled by one linearization.co_flow_rows batch, and horocycle-constant
-    scan stability.
+    stability under grid refinement, both grids relaxed by one
+    linearization.horocycle_scans batch.
 10. Bounded-distortion trend flatness.
 11. Byte-identical reruns.
 """
@@ -40,7 +41,7 @@ from .experiments import (
     scaling_suite,
     tail_estimate,
 )
-from .linearization import co_flow_rows, horocycle_scan, riccati_flat, sasaki_growth
+from .linearization import co_flow_rows, horocycle_scans, riccati_flat, sasaki_growth
 from .outputs import json_payload, json_text
 from .surface import SurfaceProfile
 
@@ -83,8 +84,7 @@ def _random_entry(profile: SurfaceProfile, rng, u_floor: float = 1e-4) -> float:
     """Uniform entry angle at s = -eps0, rejecting near-asymptotic ones."""
     while True:
         psi = rng.uniform(0.02, 0.5 * math.pi - 0.02)
-        c = profile.boundary_radius * math.cos(psi)
-        if abs(abs(c) - 1.0) >= u_floor:
+        if transition.entry_scales(profile, psi)[0] >= u_floor:
             return psi
 
 
@@ -96,7 +96,7 @@ def criterion_1_conservation(seed: int = 0) -> CriterionResult:
     rng = chunk_rng(seed, 101)
     psi = np.array([_random_entry(profile, rng) for _ in range(1000)])
     *_, drift = neck_transits(profile, psi)
-    worst = float(np.max(drift / np.abs(profile.boundary_radius * np.cos(psi))))
+    worst = float(np.max(drift / np.abs(profile.clairaut_constant(-profile.eps0, psi))))
     _check(failures, worst <= 1e-8, f"max relative drift {worst:.3e} > 1e-8")
     runtime = time.perf_counter() - t0
     _check(failures, runtime < 30.0, f"runtime {runtime:.1f}s over the 30s budget")
@@ -357,14 +357,11 @@ def criterion_9_linearization() -> CriterionResult:
         )
         prev = c_delta
 
-    # horocycle constants: positive, finite, grid-refinement stable
-    scan1 = horocycle_scan(profile)
+    # horocycle constants: positive, finite, grid-refinement stable; the
+    # default and the refined grid relaxed in one batch
     fine_s = np.linspace(0.05, 0.5, 8)
-    scan2 = horocycle_scan(
-        profile,
-        s_values=np.concatenate([-fine_s[::-1], fine_s]),
-        psi_values=np.linspace(0.05, 0.5, 8),
-    )
+    refined = (np.concatenate([-fine_s[::-1], fine_s]), np.linspace(0.05, 0.5, 8))
+    scan1, scan2 = horocycle_scans(profile, [(None, None), refined])
     for name in ("c3", "c4", "c7"):
         v1, v2 = getattr(scan1, name), getattr(scan2, name)
         details[name] = v1

@@ -7,10 +7,12 @@ under the angle coordinate: with psi the angle from the parallel direction,
     theta' = cos(psi) / xi
     psi'   = xi' cos(psi) / (xi sqrt(1 + xi'^2))
 
-and the Clairaut constant c = xi(s) cos(psi) is a first integral whose
-measured drift is the error gauge.  integrate (and neck_transit on it) rides
-scipy's DOP853 to the boundary events with dense output; _lockstep runs rows
-in one batch without it, for neck_transits and linearization's relaxations.
+and the Clairaut constant c = xi(s) cos(psi) (SurfaceProfile.clairaut_*) is
+a first integral whose measured drift is the error gauge.  The one event is
+leaving the neck: _exit_event's |s| - eps0 rising through 0.  integrate (and
+neck_transit on it) rides scipy's DOP853 to it with dense output; _lockstep
+runs rows in one batch without it, for neck_transits and linearization's
+relaxations, and locates the same event on each row's DOP853 interpolant.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ class GeodesicState:
     psi: float
 
     def clairaut(self, profile: SurfaceProfile) -> float:
-        xi, _, _ = profile.profile_eval(self.s)
-        return float(xi) * math.cos(self.psi)
+        return float(profile.clairaut_constant(self.s, self.psi))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.s, self.theta, self.psi])
@@ -83,22 +84,18 @@ def _make_rhs(profile: SurfaceProfile, xp=math):
     return rhs
 
 
-def _make_events(profile: SurfaceProfile):
+def _exit_event(profile: SurfaceProfile):
+    """The terminal event |s| - eps0, crossed upward as the footpoint leaves
+    the neck through either boundary.  Near s = -eps0 it is exactly -(s +
+    eps0), so a row starting there and pointing in never triggers it."""
     eps0 = profile.eps0
 
-    def exit_plus(t, y):
-        return y[0] - eps0
+    def leaves(t, y):
+        return abs(y[0]) - eps0
 
-    exit_plus.terminal = True
-    exit_plus.direction = 1.0
-
-    def exit_minus(t, y):
-        return y[0] + eps0
-
-    exit_minus.terminal = True
-    exit_minus.direction = -1.0
-
-    return [exit_plus, exit_minus]
+    leaves.terminal = True
+    leaves.direction = 1.0
+    return leaves
 
 
 @dataclass
@@ -125,16 +122,8 @@ class GeodesicPath:
         """Rows (t, s, theta, psi, c drift) at the requested times."""
         times = np.asarray(times, dtype=float)
         y = self._sol(times)
-        drift = _clairaut_drift(self.profile, y[0], y[2], self.c0)
+        drift = self.profile.clairaut_unchecked(y[0], y[2]) - self.c0
         return np.column_stack([times, y[0], y[1], y[2], drift])
-
-
-def _check_stall(sol) -> None:
-    """Raise IntegrationStallError, with the time reached, if solve_ivp broke down."""
-    if sol.status == -1:
-        raise IntegrationStallError(
-            f"solver stalled: {sol.message}", t_reached=float(sol.t[-1])
-        )
 
 
 # _lockstep's DOP853: the Hairer-Norsett-Wanner 8(5,3) tableau as scipy ships
@@ -164,24 +153,24 @@ def _sum_sq(x):
     return np.add.reduce(x * x, axis=0)
 
 
-def _lockstep(fun, y0, t_bound, rtol, atol, events=(), monitor=None):
+def _lockstep(fun, y0, t_bound, rtol, atol, event=None, monitor=None):
     """DOP853 over rows of y' = fun(t, y) from t = 0, all rows in lockstep.
 
     y0 is (rows, dim), 2 <= dim <= 7 (see _combine and _sum_sq: outside it
     a lone row's sums are added pairwise, and rows would not be
     batch-invariant), else ValueError; t_bound (> 0, finite), rtol and atol
-    give one value per row or one for all.  fun(t, y) and every event
-    g(t, y) receive t with one time per row and y as (dim, rows), so y[0] is
-    the rows' first component; fun returns one array per component.  Each
-    row runs scipy's DOP853 controller on its own -- initial step, error
-    norm, SAFETY and factor limits, rejection flag -- and a finished row
-    drops out.  Events are terminal: the three extra dense-output stages
-    are computed only for rows whose event function changed sign in the
-    accepted step, and each root is found on that row's interpolant as
-    solve_ivp finds it.
+    give one value per row or one for all.  fun(t, y) and event(t, y)
+    receive t with one time per row and y as (dim, rows), so y[0] is the
+    rows' first component; fun returns one array per component.  Each row
+    runs scipy's DOP853 controller on its own -- initial step, error norm,
+    SAFETY and factor limits, rejection flag -- and a finished row drops
+    out.  The event is terminal: a row ends where its event value goes from
+    <= 0 to >= 0 over an accepted step, the three extra dense-output stages
+    are computed only for those rows, and each root is found on the row's
+    interpolant as solve_ivp finds it.
 
     Returns (t_end, y_end, hit, peak): y_end is (rows, dim), hit marks the
-    rows an event ended, and peak holds each row's largest |monitor(rows, y)|
+    rows the event ended, and peak holds each row's largest |monitor(rows, y)|
     (rows the indices of y's columns) over its start, accepted steps and
     event root, or is None, at no cost, without a monitor.  A row whose step
     falls below 10 ulps of its t raises IntegrationStallError with the row.
@@ -215,7 +204,7 @@ def _lockstep(fun, y0, t_bound, rtol, atol, events=(), monitor=None):
         )
     h_abs = np.minimum(np.minimum(100.0 * h0, h1), t_bound)
     rejected = np.zeros(live.size, dtype=bool)
-    g = [event(t, y) for event in events]
+    g = None if event is None else event(t, y)
 
     while live.size:
         min_step = 10.0 * (np.nextafter(t, np.inf) - t)
@@ -263,22 +252,12 @@ def _lockstep(fun, y0, t_bound, rtol, atol, events=(), monitor=None):
         y = np.where(accept, y_new, y)
         f = np.where(accept, K[_N_STAGES], f)
         done = accept & (t >= t_bound)
-        if events:
-            g_new = [event(t, y) for event in events]
-            crossed = [
-                accept
-                & (
-                    ((g0 <= 0.0) & (g1 >= 0.0) & (event.direction >= 0.0))
-                    | ((g0 >= 0.0) & (g1 <= 0.0) & (event.direction <= 0.0))
-                )
-                for event, g0, g1 in zip(events, g, g_new)
-            ]
-            g = g_new
-            sub = np.flatnonzero(np.any(crossed, axis=0))
+        if event is not None:
+            g_old, g = g, event(t, y)
+            sub = np.flatnonzero(accept & (g_old <= 0.0) & (g >= 0.0))
             if sub.size:
                 roots = _event_roots(
-                    fun, events, [c[sub] for c in crossed], K[:, :, sub],
-                    t_old[sub], t[sub], y_old[:, sub], y[:, sub],
+                    fun, event, K[:, :, sub], t_old[sub], t[sub], y_old[:, sub], y[:, sub]
                 )
                 # these rows end at their roots (t and y are fresh arrays)
                 for i, (root, y_root) in zip(sub, roots):
@@ -293,14 +272,15 @@ def _lockstep(fun, y0, t_bound, rtol, atol, events=(), monitor=None):
             live, t, y, f = live[keep], t[keep], y[:, keep], f[:, keep]
             t_bound, rtol, atol = t_bound[keep], rtol[keep], atol[keep]
             h_abs, rejected = h_abs[keep], rejected[keep]
-            g = [gi[keep] for gi in g]
+            g = None if event is None else g[keep]
     return t_end, y_end.T, hit, peak
 
 
-def _event_roots(fun, events, crossed, K, t_old, t_new, y_old, y_new):
-    """(root, state) of the earliest crossing per row, on the row's DOP853
-    interpolant.  K is the step's stage buffer for these rows only, (stages,
-    dim, rows); its three dense-output stages are filled here, in place."""
+def _event_roots(fun, event, K, t_old, t_new, y_old, y_new):
+    """(root, state) of the event's crossing per row, one brentq on the
+    row's DOP853 interpolant over the step.  K is the step's stage buffer
+    for these rows only, (stages, dim, rows); its three dense-output stages
+    are filled here, in place."""
     h = t_new - t_old
     for i in range(_N_STAGES + 1, _dop853.N_STAGES_EXTENDED):
         K[i] = fun(t_old + _dop853.C[i] * h, y_old + _combine(K, _dop853.A[i, :i]) * h)
@@ -324,19 +304,9 @@ def _event_roots(fun, events, crossed, K, t_old, t_new, y_old, y_new):
                 y.append(v + yc)
             return y
 
-        root = min(
-            brentq(lambda t: event(t, state(t)), t0, t1, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
-            for event, c in zip(events, crossed)
-            if c[i]
-        )
+        root = brentq(lambda t: event(t, state(t)), t0, t1, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
         out.append((root, state(root)))
     return out
-
-
-def _clairaut_drift(profile: SurfaceProfile, s, psi, c0: float):
-    """xi(s) cos(psi) - c0 at footpoints that may overshoot |s| = eps0."""
-    xi = 1.0 + np.abs(s) ** profile.r
-    return xi * np.cos(psi) - c0
 
 
 def integrate(
@@ -364,14 +334,15 @@ def integrate(
             t_span,
             y0,
             method="DOP853",
-            events=_make_events(profile),
+            events=_exit_event(profile),
             dense_output=True,
             rtol=tols[0],
             atol=tols[1],
         )
-        _check_stall(sol)
+        if sol.status == -1:
+            raise IntegrationStallError(f"solver stalled: {sol.message}", float(sol.t[-1]))
         y = sol.sol(np.linspace(t_span[0], sol.t[-1], 257))
-        drift = float(np.max(np.abs(_clairaut_drift(profile, y[0], y[2], c0))))
+        drift = float(np.max(np.abs(profile.clairaut_unchecked(y[0], y[2]) - c0)))
         if drift <= drift_tol:
             break
         tols = (tols[0] / 100.0, tols[1] / 100.0)
@@ -455,13 +426,13 @@ def neck_transits(profile: SurfaceProfile, psi):
     if not np.all(np.sin(psi) > 0.0):
         raise ValueError("entry vectors must point into the neck (sin psi > 0)")
     y0 = np.column_stack([np.full(psi.shape, -profile.eps0), np.zeros(psi.shape), psi])
-    c0 = _clairaut_drift(profile, y0[:, 0], psi, 0.0)
+    c0 = profile.clairaut_constant(y0[:, 0], psi)
     if np.any(np.abs(c0) == 1.0):
         raise AsymptoticEntryError(f"entry psi={float(psi[np.abs(c0) == 1.0][0])!r} is asymptotic")
     try:
         t, y, hit, drift = _lockstep(
-            _make_rhs(profile, np), y0, _T_MAX, _RTOL, _ATOL, _make_events(profile),
-            lambda rows, y: _clairaut_drift(profile, y[0], y[2], c0[rows]),
+            _make_rhs(profile, np), y0, _T_MAX, _RTOL, _ATOL, _exit_event(profile),
+            lambda rows, y: profile.clairaut_unchecked(y[0], y[2]) - c0[rows],
         )
         if not hit.all():
             i = int(np.argmin(hit))

@@ -15,9 +15,11 @@ Clairaut drift.
 Since K <= 0 on the neck, Riccati solutions started at u >= 0 stay
 nonnegative, and unstable_riccati recovers the unstable curvature k+ of a
 vector by relaxing two seeds over a finite backward window and reading off
-their common value at the endpoint.  horocycle_scan relaxes its whole grid,
-k+ and k- of every point at two tolerance levels, in two lockstep batches
-(one per leg); unstable_riccati is the one-row case of the same code, so a
+their common value at the endpoint; the backward leg ends at the window or
+at dynamics._exit_event, the one event the ODE layer knows.  horocycle_scans
+relaxes whole grids, k+ and k- of every point of each at two tolerance
+levels, in two lockstep batches (one per leg); horocycle_scan is its
+one-grid case and unstable_riccati the one-row case of the same code, so a
 vector's numbers do not depend on the batch it rides in.  Each vector
 carries two runtime error estimates: the host's return to the input vector,
 and the distance between its seeds at the two levels.  The residual seed
@@ -32,14 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401  perfbench/tracing.py wraps it by name
 
-from .dynamics import (
-    GeodesicState,
-    _clairaut_drift,
-    _lockstep,
-    _make_events,
-    _make_rhs,
-    reverse,
-)
+from .dynamics import GeodesicState, _exit_event, _lockstep, _make_rhs, reverse
 from .errors import AccuracyError, IntegrationStallError
 from .surface import SurfaceProfile
 
@@ -104,8 +99,7 @@ def co_flow_rows(profile: SurfaceProfile, s, psi, u0, t):
     s, psi, u0, t = (np.ravel(v) for v in arrays)
     if not (np.all(np.isfinite(u0)) and np.all(np.isfinite(t) & (t >= 0.0))):
         raise ValueError("Jacobi/Riccati rows need a finite u0 and a finite time t >= 0")
-    profile._check_domain(s)
-    c0 = _clairaut_drift(profile, s, psi, 0.0)
+    c0 = profile.clairaut_constant(s, psi)
 
     def where(i):
         return f"at s={float(s[i])}, psi={float(psi[i])}, u0={float(u0[i])}, t={float(t[i])}"
@@ -117,8 +111,8 @@ def co_flow_rows(profile: SurfaceProfile, s, psi, u0, t):
             t,
             _RTOL,
             _ATOL,
-            (),
-            lambda rows, y: _clairaut_drift(profile, y[0], y[1], c0[rows]),
+            None,
+            lambda rows, y: profile.clairaut_unchecked(y[0], y[1]) - c0[rows],
         )
     except IntegrationStallError as exc:
         raise IntegrationStallError(f"{exc} {where(exc.row)}", exc.t_reached) from exc
@@ -181,7 +175,7 @@ def _relax(profile, states, relax_time, scale):
             relax_time,
             np.maximum(rtol / 100.0, _RTOL_FLOOR),
             atol / 100.0,
-            _make_events(profile),
+            _exit_event(profile),
         )
         start = np.column_stack(
             [back[:, 0], back[:, 2] + math.pi, np.full((len(states), 2), _SEEDS)]
@@ -311,23 +305,50 @@ def horocycle_scan(
     since the constants would then reflect seed memory rather than geometry.
     Every vector of the grid is relaxed as unstable_riccati relaxes it, all
     in one batch; a grid with no confident point off the ridge vector, or
-    none of K < 0, raises ValueError.
+    none of K < 0, raises ValueError.  The one-grid case of horocycle_scans.
     """
-    if s_values is None:
-        half = np.linspace(0.05, 0.5, 4) * profile.eps0
-        s_values = np.concatenate([-half[::-1], half])
-    if psi_values is None:
-        psi_values = np.linspace(0.05, 0.5, 4)
-    grid = [
-        GeodesicState(s=float(s), theta=0.0, psi=float(psi))
-        for s in np.asarray(s_values, dtype=float)
-        for psi in np.asarray(psi_values, dtype=float)
-    ]
-    if not grid:
-        raise ValueError("the scan grid is empty")
-    # k+ of every grid vector, then k- (k+ of the reversed vectors), in one batch
-    vectors = grid + [reverse(st) for st in grid]
+    return horocycle_scans(profile, [(s_values, psi_values)], relax_time, spread_tol)[0]
+
+
+def horocycle_scans(
+    profile: SurfaceProfile,
+    grids,
+    relax_time: float = RELAX_TIME,
+    spread_tol: float = SPREAD_TOL,
+) -> list[ScanReport]:
+    """horocycle_scan of each (s_values, psi_values) pair of grids, None
+    giving the default axis, with the vectors of all grids relaxed in one
+    batch.  A vector gets the same bits in any batch, so each report is the
+    one its grid gets alone."""
+    scans = []
+    for s_values, psi_values in grids:
+        if s_values is None:
+            half = np.linspace(0.05, 0.5, 4) * profile.eps0
+            s_values = np.concatenate([-half[::-1], half])
+        if psi_values is None:
+            psi_values = np.linspace(0.05, 0.5, 4)
+        grid = [
+            GeodesicState(s=float(s), theta=0.0, psi=float(psi))
+            for s in np.asarray(s_values, dtype=float)
+            for psi in np.asarray(psi_values, dtype=float)
+        ]
+        if not grid:
+            raise ValueError("the scan grid is empty")
+        scans.append(grid)
+    # per grid, k+ of every vector, then k- (k+ of the reversed vectors)
+    vectors = [v for grid in scans for v in grid + [reverse(st) for st in grid]]
     estimates = _unstable_batch(profile, vectors, relax_time, spread_tol)
+    reports, start = [], 0
+    for grid in scans:
+        end = start + 2 * len(grid)
+        reports.append(_scan_report(profile, grid, estimates[start:end], relax_time))
+        start = end
+    return reports
+
+
+def _scan_report(profile, grid, estimates, relax_time) -> ScanReport:
+    """horocycle_scan's report of a grid from the estimates of its vectors,
+    then of their reverses."""
     rows = []
     r = profile.r
     for st, plus, minus in zip(grid, estimates, estimates[len(grid) :]):

@@ -113,8 +113,13 @@ class SurfaceProfile:
 
     def clairaut_constant(self, s, psi):
         """Clairaut's first integral c = xi(s) * cos(psi)."""
-        xi, _, _ = self.profile_eval(s)
-        return xi * np.cos(psi)
+        self._check_domain(s)
+        return self.clairaut_unchecked(s, psi)
+
+    def clairaut_unchecked(self, s, psi):
+        """c without the domain check, for the drift of solver states, which
+        overshoot |s| = eps0 as curvature_unchecked's arguments do."""
+        return (1.0 + np.abs(s) ** self.r) * np.cos(psi)
 
     def asymptotic_angle(self) -> float:
         """Entry angle psi0 of asymptotic excursions: arccos(1/(1+eps0^r)).

@@ -23,7 +23,7 @@ from neckflow.errors import (
     NeckDomainError,
 )
 from neckflow.experiments import chunk_rng
-from neckflow.surface import TrajectoryClass
+from neckflow.surface import SurfaceProfile, TrajectoryClass
 
 
 def test_vector_field_worked_value(prof4):
@@ -244,32 +244,73 @@ def test_lockstep_rejects_dims_without_batch_invariance(dim):
 def test_event_root_on_a_shared_step(prof4, psi):
     # scipy's DOP853 stepped until the exit event is bracketed; on that one
     # step the engine's root and state must match scipy's, found on
-    # solve_ivp's interpolant, to the root tolerance
-    rhs, events = dynamics._make_rhs(prof4, np), dynamics._make_events(prof4)
+    # solve_ivp's interpolant, to the root tolerance.  The bouncing angles
+    # leave through s = -1, the crossing ones through s = +1
+    event = dynamics._exit_event(prof4)
     solver = DOP853(dynamics._make_rhs(prof4), 0.0, [-1.0, 0.0, psi], 1e6, rtol=1e-10, atol=1e-12)
-
-    def crossed(event):  # _lockstep's rule: a sign change in the event's direction
-        g0, g1 = event(solver.t_old, solver.y_old), event(solver.t, solver.y)
-        return np.array([g0 * g1 <= 0.0 and (g1 - g0) * event.direction > 0.0])
-
-    hits = [np.array([False])]
-    while not any(h[0] for h in hits):
+    g = event(solver.t, solver.y)
+    while True:  # _lockstep's rule: the event value goes from <= 0 to >= 0
         assert solver.status == "running"
         solver.step()
-        hits = [crossed(e) for e in events]
+        g_old, g = g, event(solver.t, solver.y)
+        if g_old <= 0.0 <= g:
+            break
+    assert solver.y[0] * (1.0 if psi > prof4.asymptotic_angle() else -1.0) > 0.0
     # scipy's 13 stages, padded to the engine's 16-stage buffer of one row
     K = np.zeros((dynamics._dop853.N_STAGES_EXTENDED, 3, 1))
     K[: len(solver.K), :, 0] = solver.K
     ((root, state),) = dynamics._event_roots(
-        rhs, events, hits, K, np.array([solver.t_old]), np.array([solver.t]),
-        solver.y_old[:, None], solver.y[:, None],
+        dynamics._make_rhs(prof4, np), event, K, np.array([solver.t_old]),
+        np.array([solver.t]), solver.y_old[:, None], solver.y[:, None],
     )
     sol = solver.dense_output()
-    (event,) = [e for e, c in zip(events, hits) if c[0]]
     tol = dynamics._ROOT_TOL
     ref = brentq(lambda t: event(t, sol(t)), solver.t_old, solver.t, xtol=tol, rtol=tol)
     assert abs(root - ref) <= 4.0 * tol * (1.0 + ref)
     assert np.max(np.abs(np.array(state) - sol(ref))) <= 4.0 * tol
+
+
+# rows starting on a boundary: pointing out through s = +1 and s = -1, then
+# pointing in from each; the inward ones cross the neck in more than 1.0
+_ON_THE_BOUNDARY = [(1.0, 1.2), (-1.0, -1.2), (1.0, -1.2), (-1.0, 1.2)]
+
+
+def test_lockstep_exit_event_on_the_boundary(prof4):
+    t_end, y_end, hit, _ = _lockstep(
+        dynamics._make_rhs(prof4, np), [(s, 0.0, psi) for s, psi in _ON_THE_BOUNDARY],
+        1.0, 1e-10, 1e-12, dynamics._exit_event(prof4),
+    )
+    assert hit.tolist() == [True, True, False, False]
+    assert t_end[:2] == pytest.approx([0.0, 0.0], abs=1e-12)
+    assert y_end[:2, 0].tolist() == [1.0, -1.0]
+    assert t_end[2:].tolist() == [1.0, 1.0] and np.all(np.abs(y_end[2:, 0]) < 1.0)
+
+
+@pytest.mark.parametrize("s, psi", _ON_THE_BOUNDARY)
+def test_integrate_exit_event_on_the_boundary(prof4, s, psi):
+    path = integrate(prof4, GeodesicState(s, 0.0, psi), (0.0, 1.0))
+    leaves = s * math.sin(psi) > 0.0
+    assert path.terminated is leaves
+    if leaves:
+        assert path.t_end == pytest.approx(0.0, abs=1e-12)
+        assert path.state_at(path.t_end).s == s
+    else:
+        assert path.t_end == 1.0 and abs(path.state_at(1.0).s) < 1.0
+
+
+@pytest.mark.parametrize("r, eps0", [(4.0, 1.0), (6.0, 1.5), (10.0, 2.0)])
+def test_one_clairaut_formula(r, eps0):
+    # GeodesicState.clairaut is clairaut_constant, which is clairaut_unchecked
+    # behind the domain check, with the bits of the plain float form
+    profile = SurfaceProfile(r, eps0)
+    rng = np.random.default_rng(int(r))
+    for s, psi in zip(rng.uniform(-eps0, eps0, 2000), rng.uniform(-math.pi, math.pi, 2000)):
+        s, psi = float(s), float(psi)
+        assert GeodesicState(s, 0.0, psi).clairaut(profile) == (1.0 + abs(s) ** r) * math.cos(psi)
+    over = eps0 * (1.0 + 1e-12)  # a solver state's overshoot
+    with pytest.raises(NeckDomainError):
+        profile.clairaut_constant(over, 0.3)
+    assert profile.clairaut_unchecked(over, 0.3) == (1.0 + over**r) * math.cos(0.3)
 
 
 @pytest.fixture(scope="module")
@@ -294,8 +335,8 @@ def test_neck_transits_match_neck_transit(prof4, band_entries):
         assert psi[i] == pytest.approx(tr.exit.psi, rel=1e-10, abs=0.0)
         assert s[i] == pytest.approx(tr.exit.s, rel=1e-14, abs=0.0)
     # the drift column bounds the exit state's drift and meets integrate's 1e-8
-    c0 = dynamics._clairaut_drift(prof4, -1.0, band_entries, 0.0)
-    assert np.all(np.abs(dynamics._clairaut_drift(prof4, s, psi, c0)) <= drift)
+    c0 = prof4.clairaut_constant(-1.0, band_entries)
+    assert np.all(np.abs(prof4.clairaut_unchecked(s, psi) - c0) <= drift)
     assert np.all(drift <= 1e-8 * np.abs(c0))
     # a row alone has the bits it has inside the batch
     for i in (0, 17, 39):

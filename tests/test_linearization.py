@@ -10,8 +10,8 @@ from neckflow import linearization
 from neckflow.acceptance import _linearization_rows
 from neckflow.dynamics import (
     GeodesicState,
+    _exit_event,
     _lockstep,
-    _make_events,
     _make_rhs,
     neck_transit,
     neck_transits,
@@ -21,6 +21,7 @@ from neckflow.errors import AccuracyError, IntegrationStallError
 from neckflow.linearization import (
     co_flow_rows,
     horocycle_scan,
+    horocycle_scans,
     riccati_flat,
     sasaki_growth,
     unstable_riccati,
@@ -183,7 +184,7 @@ def _relax_by_solve_ivp(profile, state, relax_time, scale):
         (0.0, relax_time),
         reverse(state).as_array(),
         method="DOP853",
-        events=_make_events(profile),
+        events=_exit_event(profile),
         rtol=max(rtol / 100.0, linearization._RTOL_FLOOR),
         atol=atol / 100.0,
     )
@@ -257,6 +258,13 @@ def test_lockstep_rows_do_not_depend_on_their_batch():
         plus, minus = unstable_riccati(profile, st), unstable_riccati(profile, reverse(st))
         assert (plus.value, minus.value) == (row["k_plus"], row["k_minus"])
         assert max(plus.spread, minus.spread) == row["spread"]
+
+
+def test_horocycle_scans_match_one_grid_at_a_time(prof4):
+    # criterion 9's use: several grids in one batch, each report the one
+    # its grid gets alone, None standing for the default axis
+    grids = [([-0.2, 0.3], [0.1, 0.4]), (None, [0.25])]
+    assert horocycle_scans(prof4, grids) == [horocycle_scan(prof4, s, psi) for s, psi in grids]
 
 
 @pytest.mark.parametrize(
