@@ -18,16 +18,27 @@ graded-panel engine, one row per scale, with its embedded error estimate:
 one above 1e-9 relative after refinement raises AccuracyError, so no
 degraded number is returned.  The limit constants are the finite kinds at
 t = 1 over a window of X = 50 plus a certified binomial tail series.
+
+residence_law turns two of the constants into the two-term law of the
+neck's residence time near the asymptotic angle,
+
+    Upsilon0 = K u^(-beta) + L + o(1),   beta = 1/2 - 1/r,
+
+u = | |c|-1 |, with K_b = C2(r, 0, 1/2, 0)/sqrt(2) on the bouncing side,
+K_c = C1(r, 1/2)/sqrt(2) on the crossing side, and one finite part L for
+both (Bleistein and Handelsman, Asymptotic Expansions of Integrals, 1975).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import transition
+from .surface import SurfaceProfile
 
 _TAIL_X = 50.0
 _MODEL = ("model",)  # the engine's name for a model integrand
@@ -103,6 +114,30 @@ def limit_constant_c2(r: float, q: float, alpha: float, beta: float) -> float:
         if abs(cj) * _TAIL_X ** -(alpha * r + r * j - beta * q - 1.0) < 1e-16 * scale:
             break
     return head + tail
+
+
+@functools.lru_cache(maxsize=64)
+def residence_law(profile: SurfaceProfile) -> tuple[float, float, float, float]:
+    """(K_b, K_c, L, beta) of the two-term residence law at the profile.
+
+    L = int_0^eps0 [xi sqrt(1+xi'^2)/sqrt(xi^2-1) - (2 s^r)^(-1/2)] ds
+        - eps0^(1-r/2) / ((r/2-1) sqrt(2)),
+
+    the integral being one row of transition's regular "offset" integrand
+    and the closed form its leading term's integral beyond eps0.  Each
+    integral is certified to the engine's 1e-9 relative ceiling, else
+    AccuracyError; L's error is that of its integral.  Constants of the
+    surface: cached per (hashable) SurfaceProfile.
+    """
+    r, eps0 = profile.r, profile.eps0
+    root2 = math.sqrt(2.0)
+    k_b = limit_constant_c2(r, 0.0, 0.5, 0.0) / root2
+    k_c = limit_constant_c1(r, 0.5) / root2
+    head = transition._integrate(
+        transition._residence_offset, profile, np.array([eps0]), ("offset",), transition._GL_NODES
+    )[0, 0, 0]
+    offset = float(head) - eps0 ** (1.0 - 0.5 * r) / ((0.5 * r - 1.0) * root2)
+    return k_b, k_c, offset, 0.5 - 1.0 / r
 
 
 def finite_model_integral(

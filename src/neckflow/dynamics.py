@@ -17,13 +17,11 @@ relaxations, and locates the same event on each row's DOP853 interpolant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.integrate._ivp import dop853_coefficients as _dop853
-from scipy.optimize import brentq
 
 from .errors import AccuracyError, AsymptoticEntryError, IntegrationStallError, NeckDomainError
 from .surface import SurfaceProfile, TrajectoryClass, classify
@@ -65,14 +63,15 @@ def vector_field(profile: SurfaceProfile, state: GeodesicState) -> tuple[float, 
 
 
 def _make_rhs(profile: SurfaceProfile, xp=math):
-    """RHS closure over the namespace xp: math for a float state, numpy for
-    rows of states, one array per component.  Tolerates small overshoot
-    past |s|=eps0."""
+    """RHS closure over the namespace xp: math for one state, computed on
+    Python floats, numpy for rows of states, one array per component.
+    Tolerates small overshoot past |s|=eps0."""
     r = profile.r
     sin, cos, sqrt = xp.sin, xp.cos, xp.sqrt
+    scalar = xp is math
 
     def rhs(t, y):
-        s, _, psi = y
+        s, psi = (float(y[0]), float(y[2])) if scalar else (y[0], y[2])
         ar = abs(s) ** r
         xi = 1.0 + ar
         # xi'(s) = r |s|^r / s; at s = 0 the quotient reads 0 / 1
@@ -126,10 +125,34 @@ class GeodesicPath:
         return np.column_stack([times, y[0], y[1], y[2], drift])
 
 
-# _lockstep's DOP853: the Hairer-Norsett-Wanner 8(5,3) tableau as scipy ships
-# it, read straight from scipy's arrays (C, A, B, E3, E5, D), and the
-# step-size controller constants of scipy's RungeKutta
-_N_STAGES = _dop853.N_STAGES
+# scipy is imported where it is first used, so paths that run no ODE solver
+# (tails, the transition tables) never load it
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
+
+
+def brentq(*args, **kwargs):
+    """scipy.optimize.brentq, imported on the first call."""
+    from scipy.optimize import brentq
+
+    return brentq(*args, **kwargs)
+
+
+@functools.cache
+def _tableau():
+    """_lockstep's DOP853: the Hairer-Norsett-Wanner 8(5,3) tableau as scipy
+    ships it, scipy's own arrays (C, A, B, E3, E5, D), read on first use."""
+    from scipy.integrate._ivp import dop853_coefficients
+
+    return dop853_coefficients
+
+
+# the step-size controller constants of scipy's RungeKutta
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0  # the error estimator has order 7
 _ROOT_TOL = 4.0 * np.finfo(float).eps  # solve_ivp's event tolerance
@@ -175,6 +198,7 @@ def _lockstep(fun, y0, t_bound, rtol, atol, event=None, monitor=None):
     event root, or is None, at no cost, without a monitor.  A row whose step
     falls below 10 ulps of its t raises IntegrationStallError with the row.
     """
+    tab = _tableau()
     y = np.array(y0, dtype=float).T.copy()
     dim, rows = y.shape
     if not 2 <= dim <= 7:
@@ -221,15 +245,15 @@ def _lockstep(fun, y0, t_bound, rtol, atol, event=None, monitor=None):
             )
         t_new = np.minimum(t + h_abs, t_bound)
         h = t_new - t
-        K = np.empty((_dop853.N_STAGES_EXTENDED, dim, live.size))
+        K = np.empty((tab.N_STAGES_EXTENDED, dim, live.size))
         K[0] = f
-        for i in range(1, _N_STAGES):
-            K[i] = fun(t + _dop853.C[i] * h, y + _combine(K, _dop853.A[i, :i]) * h)
-        y_new = y + h * _combine(K, _dop853.B)
-        K[_N_STAGES] = fun(t_new, y_new)
+        for i in range(1, tab.N_STAGES):
+            K[i] = fun(t + tab.C[i] * h, y + _combine(K, tab.A[i, :i]) * h)
+        y_new = y + h * _combine(K, tab.B)
+        K[tab.N_STAGES] = fun(t_new, y_new)
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        err5 = _sum_sq(_combine(K, _dop853.E5) / scale)
-        err3 = _sum_sq(_combine(K, _dop853.E3) / scale)
+        err5 = _sum_sq(_combine(K, tab.E5) / scale)
+        err3 = _sum_sq(_combine(K, tab.E3) / scale)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             norm = np.where(
                 (err5 == 0.0) & (err3 == 0.0),
@@ -250,7 +274,7 @@ def _lockstep(fun, y0, t_bound, rtol, atol, event=None, monitor=None):
         t_old, y_old = t, y
         t = np.where(accept, t_new, t)
         y = np.where(accept, y_new, y)
-        f = np.where(accept, K[_N_STAGES], f)
+        f = np.where(accept, K[tab.N_STAGES], f)
         done = accept & (t >= t_bound)
         if event is not None:
             g_old, g = g, event(t, y)
@@ -281,12 +305,13 @@ def _event_roots(fun, event, K, t_old, t_new, y_old, y_new):
     row's DOP853 interpolant over the step.  K is the step's stage buffer
     for these rows only, (stages, dim, rows); its three dense-output stages
     are filled here, in place."""
+    tab = _tableau()
     h = t_new - t_old
-    for i in range(_N_STAGES + 1, _dop853.N_STAGES_EXTENDED):
-        K[i] = fun(t_old + _dop853.C[i] * h, y_old + _combine(K, _dop853.A[i, :i]) * h)
+    for i in range(tab.N_STAGES + 1, tab.N_STAGES_EXTENDED):
+        K[i] = fun(t_old + tab.C[i] * h, y_old + _combine(K, tab.A[i, :i]) * h)
     dy = y_new - y_old
-    F = [dy, h * K[0] - dy, 2.0 * dy - h * (K[_N_STAGES] + K[0])]
-    F += [h * _combine(K, d) for d in _dop853.D]
+    F = [dy, h * K[0] - dy, 2.0 * dy - h * (K[tab.N_STAGES] + K[0])]
+    F += [h * _combine(K, d) for d in tab.D]
     out = []
     for i in range(h.size):
         # the row's interpolant in float arithmetic, the same operations as

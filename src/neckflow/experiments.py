@@ -11,9 +11,10 @@ thresholds T, how many have a residence time 2*Upsilon0 above T.  The
 residence time grows as the entry angle nears the asymptotic angle psi0 from
 either side, so each threshold's survivors are the samples within some
 distance of psi0 on each side.  Those distances are found once per run by
-a bracketed secant search in log-log coordinates, where the residence
-time is nearly a power law, on upsilon0_batch, the batch form of
-transition's graded-panel engine; each root is widened into a bracket
+a bracketed secant search on upsilon0_batch, the batch form of
+transition's graded-panel engine.  The search starts from the root of the
+two-term residence law (asymptotics.residence_law) and steps in the
+variable in which that law is linear; each root is widened into a bracket
 whose edges are certified against the engine's error estimate, and only
 the rare samples inside a bracket are integrated.
 
@@ -35,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import bands, transition
-from .asymptotics import ScalingFit, fit_exponent
+from .asymptotics import ScalingFit, fit_exponent, residence_law
 from .bands import DEFAULT_N0
 from .errors import AccuracyError
 from .surface import SurfaceProfile
@@ -141,6 +142,9 @@ class TailEstimate:
 #: Relative half-width, in |psi - psi0|, of the bracket around each
 #: threshold's root; only samples inside a bracket run the kernel.
 _BRACKET_DELTA = 1e-6
+#: Relative half-width, in |psi - psi0|, of the bracket a root search starts
+#: from around the two-term law's root (see _survivor_brackets).
+_GUESS_WIDTH = 1e-3
 #: Closest approach to psi0 the root search probes, in radians.  Samples
 #: nearer than this always run the kernel, so the brackets rely on the
 #: residence time being monotone only from here outwards.
@@ -178,18 +182,24 @@ def _survivor_brackets(
     2*Upsilon0 grows as psi nears psi0 from either side (proved on the
     crossing side, property-tested on the bouncing side down to
     _ROOT_FLOOR), so the survivors of threshold T are the samples with
-    |psi - psi0| < d*(T, side).  2*Upsilon0 is close to a power of d, so
-    all 2K roots are found together by regula falsi with the Illinois
-    modification in (log d, log(2*Upsilon0 / T)): each step moves every
-    live row to the secant root of its bracket, or to the bracket's
-    midpoint where that root is not strictly inside, in one upsilon0_batch
-    call.  A row stops at _ROOT_WIDTH, at _ROOT_STEP, on an exact root, once
-    its bracket ends are equal or adjacent doubles of psi, or after
-    _BISECT_STEPS steps.  Each root is widened into the edges
-    d*(1 -+ _BRACKET_DELTA), or two ulps of psi either side of the root's
-    angle where that is wider.  At every edge the kernel must lie on its
-    side of T by more than twice max(its error estimate, the 1e-9
-    ceiling), or AccuracyError is raised.
+    d = |psi - psi0| < d*(T, side).  asymptotics.residence_law places each
+    root: Upsilon0 = K u^(-beta) + L + o(1) gives u* = (K/(T/2 - L))^(1/beta)
+    and d* = |arccos((1 -+ u*)/a) - psi0|.  A row starts from the bracket
+    d*(1 -+ _GUESS_WIDTH) if the kernel there lies on both sides of T, and
+    from the full bracket [_ROOT_FLOOR, window edge] otherwise (or where
+    T/2 <= L); the guess's ends are evaluated in the same upsilon0_batch
+    call as the floor and the edges.  All 2K roots are then found together
+    by regula falsi with the Illinois modification in (v = d^(-beta),
+    2*Upsilon0/T - 1), which is nearly linear: each step moves every live
+    row to the secant root of its bracket, or to the bracket's midpoint in
+    log d where that root is not strictly inside, in one upsilon0_batch
+    call.  A row stops at _ROOT_WIDTH, at _ROOT_STEP, on an exact root,
+    once its bracket ends are equal or adjacent doubles of psi, or after
+    _BISECT_STEPS steps.  The guess certifies nothing.  Each root is
+    widened into the edges d*(1 -+ _BRACKET_DELTA), or two ulps of psi
+    either side of the root's angle where that is wider.  At every edge the
+    kernel must lie on its side of T by more than twice max(its error
+    estimate, the 1e-9 ceiling), or AccuracyError is raised.
 
     A side whose window edge already exceeds T survives whole.  A root
     below _ROOT_FLOOR gets the inner edge psi0 (no certain survivors), so
@@ -199,31 +209,44 @@ def _survivor_brackets(
     side = np.array([[-1.0], [1.0]])
     edge = np.array([[window[0]], [window[1]]])
     thr = np.broadcast_to(thresholds, (2, thresholds.size))
-    probe = np.array([psi0 - _ROOT_FLOOR, psi0 + _ROOT_FLOOR, *window])
-    at_floor, at_edge = np.split(2.0 * upsilon0_batch(profile, probe)[:, None], 2)
+    sides = np.broadcast_to(side, thr.shape)
+    k_b, k_c, offset, beta = residence_law(profile)
+    # a bracket [lo, hi] in x = log d has the kernel above T at lo and not
+    # above at hi; the full one runs from the floor to the window edge
+    full = (np.full(thr.shape, math.log(_ROOT_FLOOR)), np.log(side * (edge - psi0)))
+    # the guess is NaN where T/2 <= L, or where no angle has the gap u*
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = (np.array([[k_b], [k_c]]) / (0.5 * thr - offset)) ** (1.0 / beta)
+        near = np.log(np.abs(np.arccos((1.0 - side * gap) / profile.boundary_radius) - psi0))
+    guess = np.stack([near + math.log1p(-_GUESS_WIDTH), near + math.log1p(_GUESS_WIDTH)])
+    inside = (full[0] < guess[0]) & (guess[1] < full[1])
+    ends = (psi0 + sides * np.exp(guess))[:, inside]
+    probe = np.concatenate([[psi0 - _ROOT_FLOOR, psi0 + _ROOT_FLOOR, *window], ends.ravel()])
+    vals = 2.0 * upsilon0_batch(profile, probe)
+    at_floor, at_edge = np.split(vals[:4, None], 2)
+    at_guess = np.full(guess.shape, np.nan)
+    at_guess[:, inside] = vals[4:].reshape(2, -1)
     deep = at_floor > thr  # the root lies beyond the floor
     whole = at_edge > thr
-    # a live row's bracket [lo, hi] in x = log|psi - psi0| has the kernel
-    # above T at lo and not above at hi; g = log(2*Upsilon0 / T) at each
-    lo = np.full(thr.shape, math.log(_ROOT_FLOOR))
-    hi = np.broadcast_to(np.log(side * (edge - psi0)), thr.shape).copy()
+    start = inside & (at_guess[0] > thr) & (at_guess[1] <= thr)
+    lo, hi = (np.where(start, guess[k], full[k]) for k in (0, 1))
+    g_lo = np.where(start, at_guess[0], at_floor) / thr - 1.0  # g = 2*Upsilon0/T - 1
+    g_hi = np.where(start, at_guess[1], at_edge) / thr - 1.0
     x = lo.copy()  # the root, once the row stops
     kept = np.zeros(thr.shape)  # the end the last step kept: +1 hi, -1 lo
-    sides = np.broadcast_to(side, thr.shape)
     live = deep & ~whole
-    # g is -inf at a grazing window edge (psi = 0); its secant root is NaN
     with np.errstate(divide="ignore", invalid="ignore"):
-        g_lo, g_hi = np.log(at_floor / thr), np.log(at_edge / thr)
         for _ in range(_BISECT_STEPS):
             if not live.any():
                 break
             l, h, gl, gh, t = lo[live], hi[live], g_lo[live], g_hi[live], thr[live]
             s = sides[live]
-            xs = h - gh * (h - l) / (gh - gl)
+            vl, vh = np.exp(-beta * l), np.exp(-beta * h)
+            xs = np.log(vh - gh * (vh - vl) / (gh - gl)) / -beta
             xs = np.where((l < xs) & (xs < h), xs, 0.5 * (l + h))
             psi_new = psi0 + s * np.exp(xs)
             vals = 2.0 * upsilon0_batch(profile, psi_new)
-            above, g = vals > t, np.log(vals / t)
+            above, g = vals > t, vals / t - 1.0
             # Illinois: an end kept a second time in a row has its g halved
             gh = np.where(above & (kept[live] > 0), 0.5 * gh, gh)
             gl = np.where(~above & (kept[live] < 0), 0.5 * gl, gl)

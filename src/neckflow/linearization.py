@@ -32,9 +32,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp  # noqa: F401  perfbench/tracing.py wraps it by name
 
 from .dynamics import GeodesicState, _exit_event, _lockstep, _make_rhs, reverse
+from .dynamics import solve_ivp  # noqa: F401  perfbench/tracing.py wraps it by name
 from .errors import AccuracyError, IntegrationStallError
 from .surface import SurfaceProfile
 

@@ -57,12 +57,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# unused here; kept because perfbench/tracing.py wraps transition.quad by name
-from scipy.integrate import quad  # noqa: F401
-
 from . import bands
 from .errors import AccuracyError, AsymptoticEntryError
 from .surface import SurfaceProfile, TrajectoryClass
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first call.  Nothing here calls
+    it; perfbench/tracing.py wraps transition.quad by name."""
+    from scipy.integrate import quad
+
+    return quad(*args, **kwargs)
+
 
 _GL_NODES = 64  # first level: a 32-node answer rule on each of two panels
 _ERR_CEILING = 1e-9  # certified relative accuracy of every returned value
@@ -73,7 +79,10 @@ _LIMIT_ROUNDING = _ERR_CEILING
 _EPS = float(np.finfo(float).eps)
 _BLOCK_ROWS = 176  # rows per pass, so memory does not grow with the batch
 _LABELS = {"upsilon0": "Upsilon0", "zeta": "zeta", "dzeta": "zeta'", "d2zeta": "zeta''"}
-_LABELS["model"] = "model"  # asymptotics' model integrals, on the same engine
+# asymptotics' model integrals and residence-law offset, on the same engine,
+# keyed by their scale and by eps0
+_LABELS.update(model="model", offset="Upsilon0 finite part")
+_ROW_KEYS = {"model": "scale", "offset": "eps0"}
 _KLASS = {True: TrajectoryClass.BOUNCING, False: TrajectoryClass.CROSSING}
 _DERIVS = ("dzeta", "d2zeta")  # which ends with these to get zeta' and zeta''
 _TABLE_KEYS = "n side psi_mid c upsilon0 zeta zeta_prime zeta_second err_est".split()
@@ -254,6 +263,28 @@ def _crossing(profile: SurfaceProfile, u: np.ndarray):
     return f, np.minimum(u ** (1.0 / r), 0.5 * eps0), eps0
 
 
+def _residence_offset(profile: SurfaceProfile, rows: np.ndarray):
+    """(f, a, b) for rows (a column, each eps0) of the finite part of
+    Upsilon0 at u = 0: the integrand "offset" in s on [0, b = eps0],
+
+        xi sqrt(1+xi'^2) / sqrt(xi^2-1) - (2 s^r)^(-1/2),
+
+    split at a = eps0/4.  With q = s^r, xi^2 - 1 = q (2 + q), so it is
+    (2q)^(-1/2) (X - 1) with X = xi sqrt(1+xi'^2) sqrt(2/(2+q)), and X - 1 is
+    expm1 of a sum of log1p terms: cancellation-free, and regular at s = 0,
+    where it vanishes like s^(r/2).
+    """
+    r = profile.r
+
+    def f(s, _):
+        q = s**r
+        xp = r * q / s
+        lx = np.log1p(q) + 0.5 * (np.log1p(xp * xp) - np.log1p(0.5 * q))  # log X
+        return {"offset": np.expm1(lx) / np.sqrt(2.0 * q)}
+
+    return f, 0.25 * rows, rows
+
+
 @functools.lru_cache(maxsize=8)
 def _embedded_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (nodes, weights) of an n-node Gauss-Legendre rule and its
@@ -312,8 +343,8 @@ def _blocked(side, profile: SurfaceProfile, u: np.ndarray, which, n: int) -> np.
 def _integrate(side, profile: SurfaceProfile, u: np.ndarray, which, nodes: int):
     """_blocked at nodes // 2 nodes per panel, then each (row, integrand)
     above the ceiling redone at nodes; AccuracyError, naming the worst row's
-    u (a model row's scale), if one still is.  The row maker side(profile,
-    column of u) gives _graded_panels' (f, a, b)."""
+    u (a model row's scale, an offset row's eps0), if one still is.  The row
+    maker side(profile, column of u) gives _graded_panels' (f, a, b)."""
     res = _blocked(side, profile, u, which, nodes // 2)
     redo = ~(res[1] / np.abs(res[0]) <= _ERR_CEILING)  # a NaN estimate is redone too
     rows = redo.any(axis=0)
@@ -321,7 +352,7 @@ def _integrate(side, profile: SurfaceProfile, u: np.ndarray, which, nodes: int):
         fine = _blocked(side, profile, u[rows], which, nodes)
         res[:, :, rows] = np.where(redo[:, rows], fine, res[:, :, rows])
         whats = [f"{_LABELS[key]} integral with {nodes} nodes per panel" for key in which]
-        _certify(whats, res[1] / np.abs(res[0]), "scale" if "model" in which else "u", u)
+        _certify(whats, res[1] / np.abs(res[0]), _ROW_KEYS.get(which[0], "u"), u)
     return res
 
 

@@ -294,3 +294,29 @@ def excursion_quad(r, eps0, u, bouncing, which):
 
     peak = min(u ** (1.0 / r), 0.5 * eps0)
     return quad(f, 0.0, eps0, points=[peak], epsabs=0.0, epsrel=1e-11, limit=200)[0]
+
+
+def residence_offset_mp(r, eps0, dps=30):
+    """L of the two-term residence law Upsilon0 = K u^(-beta) + L + o(1),
+    by mpmath at dps digits.
+
+    L = int_0^eps0 [xi g/sqrt(xi^2-1) - (2q)^(-1/2)] ds - eps0^(1-r/2)/((r/2-1) sqrt 2)
+    with q = s^r and g = sqrt(1+xi'^2).  The bracket is rationalized:
+    (2q xi^2 g^2 - (xi^2-1)) = q (3q + 2q^2 + 2 xi^2 xi'^2) exactly, so it
+    reads q (3q + 2q^2 + 2 xi^2 xi'^2) / (R sqrt(2q) (xi g sqrt(2q) + R)),
+    R = sqrt(q (2+q)), with no difference left to cancel.  The interval is
+    cut at s = 1, where q turns from small to large.
+    """
+    with mpmath.workdps(dps):
+        r, eps0 = mpmath.mpf(r), mpmath.mpf(eps0)
+
+        def f(s):
+            q = s**r
+            xi, xp = 1 + q, r * s ** (r - 1)
+            g, big_r, w = mpmath.sqrt(1 + xp * xp), mpmath.sqrt(q * (2 + q)), mpmath.sqrt(2 * q)
+            num = q * (3 * q + 2 * q * q + 2 * xi * xi * xp * xp)
+            return num / (big_r * w * (xi * g * w + big_r))
+
+        cuts = [0, eps0] if eps0 <= 1 else [0, 1, eps0]
+        tail = eps0 ** (1 - r / 2) / ((r / 2 - 1) * mpmath.sqrt(2))
+        return float(mpmath.quad(f, cuts) - tail)

@@ -16,8 +16,10 @@ from neckflow.asymptotics import (
     model_table,
     model_triples,
     predicted_exponent,
+    residence_law,
 )
 from neckflow.errors import AccuracyError
+from neckflow.surface import SurfaceProfile
 
 # frozen independently-verified limit constants for the beta >= 1 triples;
 # the beta = 0 cases are covered exactly by the gamma closed forms below
@@ -183,6 +185,42 @@ def test_model_integrals_raise_above_ceiling(call, monkeypatch):
         call()
     assert info.value.achieved > 0.0
     assert "at scale=" in str(info.value)  # the worst row's scale b
+
+
+@pytest.mark.parametrize(
+    "r, eps0, measured",
+    # L as first measured (30-digit mpmath), to its printed digits
+    [(3.0, 1.0, -0.4349600), (4.0, 1.0, 0.3126489), (6.0, 1.0, 0.7329503),
+     (10.0, 1.5, 57.93114), (10.0, 2.0, 1024.2744)],
+)
+def test_residence_law_against_oracles(r, eps0, measured):
+    prof = SurfaceProfile(r=r, eps0=eps0, allow_low_r=True)
+    k_b, k_c, offset, beta = residence_law(prof)
+    assert beta == 0.5 - 1.0 / r
+    assert k_b == pytest.approx(orc.c2_closed_form_beta0(r, 0.5) / math.sqrt(2.0), rel=1e-12)
+    assert k_c == pytest.approx(orc.c1_closed_form(r, 0.5) / math.sqrt(2.0), rel=1e-12)
+    want = orc.residence_offset_mp(r, eps0)
+    assert offset == pytest.approx(want, rel=1e-9)
+    assert want == pytest.approx(measured, rel=2e-7)
+    # rows keyed by the gap u = 1e-12 on both sides, not by an angle, so
+    # the rounding of an angle's gap does not enter
+    u = np.full(2, 1e-12)
+    rows = transition._gap_rows(prof, np.full(2, np.nan), u, np.array([True, False]), ("upsilon0",))
+    assert rows[0, 0] == pytest.approx(np.array([k_b, k_c]) * u**-beta + offset, rel=1e-9)
+
+
+def test_residence_law_raises_above_ceiling_and_is_cached(monkeypatch):
+    # a profile no other test asks for, so its law is not cached yet
+    prof = SurfaceProfile(r=5.0, eps0=0.75)
+    monkeypatch.setattr(transition, "_ERR_CEILING", 0.0)
+    monkeypatch.setattr(asymptotics, "limit_constant_c1", lambda r, alpha: 1.0)
+    monkeypatch.setattr(asymptotics, "limit_constant_c2", lambda r, q, alpha, beta: 1.0)
+    with pytest.raises(AccuracyError, match="Upsilon0 finite part.* at eps0=0.75") as info:
+        residence_law(prof)
+    assert info.value.achieved > 0.0
+    monkeypatch.undo()
+    law = residence_law(prof)
+    assert residence_law(SurfaceProfile(r=5.0, eps0=0.75)) is law
 
 
 def test_finite_model_integral_validation():

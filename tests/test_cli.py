@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import neckflow
 from neckflow import __version__
 from neckflow.asymptotics import MODEL_TRIPLES
 from neckflow.cli import build_parser, main
@@ -19,6 +24,26 @@ def test_version_string(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == f"neckflow {__version__}"
+
+
+def test_cli_import_and_tail_estimate_load_no_scipy():
+    # scipy loads where solve_ivp, brentq or the DOP853 tableau first run:
+    # a fresh interpreter that imports the CLI and runs a tail estimate has
+    # no scipy module
+    script = (
+        "import sys\n"
+        "import neckflow.cli\n"
+        "from neckflow.experiments import ExperimentConfig, tail_estimate\n"
+        "tail_estimate(ExperimentConfig(samples=20_000))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    src = str(Path(neckflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_missing_subcommand_is_usage_error():

@@ -179,7 +179,7 @@ def test_transit_time_grows_toward_asymptotic(prof4):
 def test_dop853_tableau_pinned():
     # _lockstep reads the tableau from scipy's private dop853_coefficients;
     # these are values of Hairer's dop853.f and order conditions it must meet
-    tab = dynamics._dop853
+    tab = dynamics._tableau()
     assert (tab.N_STAGES, tab.N_STAGES_EXTENDED, tab.INTERPOLATOR_POWER) == (12, 16, 7)
     assert tab.C[1] == pytest.approx(0.526001519587677318785587544488e-01, rel=1e-15)
     assert tab.B[0] == pytest.approx(5.42937341165687622380535766363e-2, rel=1e-15)
@@ -210,7 +210,7 @@ def test_lockstep_stall_names_the_row():
 def test_stage_sums_add_in_stage_order(dim, rows):
     # every tableau row the engine combines, against a plain accumulation of
     # its nonzero terms in stage order: a reordered (BLAS) sum fails this
-    tab = dynamics._dop853
+    tab = dynamics._tableau()
     n = tab.N_STAGES
     coefficients = [tab.A[i, :i] for i in [*range(1, n), *range(n + 1, tab.N_STAGES_EXTENDED)]]
     coefficients += [tab.B, tab.E3, tab.E5, *tab.D]
@@ -257,7 +257,7 @@ def test_event_root_on_a_shared_step(prof4, psi):
             break
     assert solver.y[0] * (1.0 if psi > prof4.asymptotic_angle() else -1.0) > 0.0
     # scipy's 13 stages, padded to the engine's 16-stage buffer of one row
-    K = np.zeros((dynamics._dop853.N_STAGES_EXTENDED, 3, 1))
+    K = np.zeros((dynamics._tableau().N_STAGES_EXTENDED, 3, 1))
     K[: len(solver.K), :, 0] = solver.K
     ((root, state),) = dynamics._event_roots(
         dynamics._make_rhs(prof4, np), event, K, np.array([solver.t_old]),

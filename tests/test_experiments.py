@@ -303,8 +303,11 @@ def test_tail_chunk_counts_bracket_samples_like_the_kernel(key, monkeypatch):
 @pytest.mark.parametrize(
     "r, eps0, n_hi, extra, budget",
     [
-        pytest.param(4.0, 1.0, 1040, [], 10, id="4.0"),
-        pytest.param(6.0, 1.0, 1040, [], 10, id="6.0"),
+        pytest.param(4.0, 1.0, 1040, [], 4, id="4.0"),
+        pytest.param(6.0, 1.0, 1040, [], 4, id="6.0"),
+        # where L dominates Upsilon0, and roots lie near one ulp of psi
+        pytest.param(10.0, 1.5, 1040, [], 9, id="10.0-1.5"),
+        pytest.param(10.0, 2.0, 1040, [], 10, id="10.0-2.0"),
         # the tail-chunk test's thresholds, where one root lies between two
         # adjacent doubles of psi (at r=6, eps0=0.5 the root of 1e5)
         pytest.param(6.0, 0.5, 1200, [1.0, 1e5], 12, id="6.0-0.5-adjacent"),
@@ -312,9 +315,11 @@ def test_tail_chunk_counts_bracket_samples_like_the_kernel(key, monkeypatch):
     ],
 )
 def test_survivor_brackets_kernel_pass_budget(r, eps0, n_hi, extra, budget, monkeypatch):
-    # 2*Upsilon0 is nearly a power of |psi - psi0|, so the secant search
-    # finds criterion 5's roots in a few kernel passes, and stops a root
-    # once no double angle lies strictly inside its bracket
+    # the two-term law places criterion 5's roots within its guess bracket,
+    # and 2*Upsilon0 is nearly linear in |psi - psi0|^(-beta) there, so at
+    # r=4 and r=6 the secant search needs the probe pass, two steps and the
+    # certificate; it stops a root once no double angle lies strictly inside
+    # its bracket
     prof = SurfaceProfile(r=r, eps0=eps0)
     thr = np.append(default_thresholds(prof, n_hi=n_hi), extra)
     calls = []
@@ -327,6 +332,34 @@ def test_survivor_brackets_kernel_pass_budget(r, eps0, n_hi, extra, budget, monk
     monkeypatch.setattr(transition, "excursion_integrals", spy)
     _survivor_brackets(prof, entry_window(prof), thr)
     assert len(calls) <= budget
+
+
+@pytest.mark.parametrize("shift", [1e6, -1.0])
+def test_tail_estimate_with_a_wrong_law_keeps_its_counts(shift, monkeypatch):
+    # the law only places the search: with L far too large (no guess, since
+    # T/2 <= L) or off by 1 (guesses that bracket no root), every row starts
+    # from the full bracket, and the counts are the pinned ones
+    law = experiments.residence_law
+
+    def wrong_law(profile):
+        k_b, k_c, offset, beta = law(profile)
+        return k_b, k_c, offset + shift, beta
+
+    monkeypatch.setattr(experiments, "residence_law", wrong_law)
+    probes = []
+    kernel = experiments.upsilon0_batch
+
+    def spy(profile, psi):
+        probes.append(len(psi))
+        return kernel(profile, psi)
+
+    monkeypatch.setattr(experiments, "upsilon0_batch", spy)
+    r4 = tail_estimate(ExperimentConfig(r=4.0, samples=60_000, seed=5))
+    assert r4.counts.tolist() == [1446, 963, 644, 422, 257, 150, 93, 52, 35]
+    # the search's first pass, after default_thresholds' one
+    assert probes[1] == (4 if shift > 0 else 4 + 4 * r4.thresholds.size)
+    r6 = tail_estimate(ExperimentConfig(r=6.0, samples=60_000, seed=5))
+    assert r6.counts.tolist() == [1305, 878, 582, 379, 233, 136, 85, 44, 28]
 
 
 def test_tail_brackets_without_width_fail_the_certificate(monkeypatch):
