@@ -9,9 +9,10 @@ scaled down, so a green suite is the package's actual accuracy contract:
     dynamics.neck_transits batch with the drift taken at step ends.
  2. ODE transit time / angle advance of 200 entries, one neck_transits
     batch, vs one batch of the graded-panel quadrature.
- 3. Band-index scaling exponents at r=4.
- 4. Band-index scaling exponents at r=6.
- 5. Monte-Carlo residence-time tail exponents at r=4 and r=6.
+ 3. Band-index scaling exponents at r=4, targets from the residence
+    exponent beta (asymptotics.residence_exponent).
+ 4. Band-index scaling exponents at r=6, likewise.
+ 5. Monte-Carlo residence-time tail exponents at r=4 and r=6, target 1/beta.
  6. Band width and accumulation asymptotics.
  7. Model-integral limit ratios and brute-force oracle agreement.
  8. Curvature pinching on the punctured neck.
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bands, transition
-from .asymptotics import fit_exponent, model_table
+from .asymptotics import fit_exponent, model_table, residence_exponent
 from .dynamics import neck_transits
 from .experiments import (
     ExperimentConfig,
@@ -138,7 +139,8 @@ def _scaling_criterion(number: int, r: float) -> CriterionResult:
     cfg = ExperimentConfig(r=r, n_min=25, n_max=3200)
     suite = scaling_suite(cfg)
     f = {k: v.exponent for k, v in suite.fits.items()}
-    ups, zp, zs = (r - 2.0) / r, 3.0 - 2.0 / r, 5.0 - 2.0 / r
+    ups = 2.0 * residence_exponent(r)  # Upsilon0 over bands grows like n^(2 beta)
+    zp, zs = 2.0 + ups, 4.0 + ups
     _in(failures, f["upsilon0_pooled"], ups, 0.05, "upsilon0 exponent")
     for side in bands.SIDES:
         _in(failures, f[f"zeta_prime_{side}"], zp, 0.1, f"|zeta'| exponent ({side})")
@@ -169,7 +171,8 @@ def criterion_5_tails(seed: int = 0, samples: int = 1_000_000) -> CriterionResul
     t0 = time.perf_counter()
     failures: list[str] = []
     details = {}
-    for r, target in ((4.0, 4.0), (6.0, 3.0)):
+    for r in (4.0, 6.0):
+        target = 1.0 / residence_exponent(r)  # survival decays like T^(-1/beta)
         t_r = time.perf_counter()
         est = tail_estimate(ExperimentConfig(r=r, seed=seed, samples=samples))
         took = time.perf_counter() - t_r

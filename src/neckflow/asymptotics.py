@@ -116,6 +116,13 @@ def limit_constant_c2(r: float, q: float, alpha: float, beta: float) -> float:
     return head + tail
 
 
+def residence_exponent(r: float) -> float:
+    """beta = 1/2 - 1/r, the exponent of the residence law at profile
+    exponent r: survival decays like T^(-1/beta), and band n's Upsilon0
+    grows like n^(2 beta)."""
+    return 0.5 - 1.0 / r
+
+
 @functools.lru_cache(maxsize=64)
 def residence_law(profile: SurfaceProfile) -> tuple[float, float, float, float]:
     """(K_b, K_c, L, beta) of the two-term residence law at the profile.
@@ -137,7 +144,7 @@ def residence_law(profile: SurfaceProfile) -> tuple[float, float, float, float]:
         transition._residence_offset, profile, np.array([eps0]), ("offset",), transition._GL_NODES
     )[0, 0, 0]
     offset = float(head) - eps0 ** (1.0 - 0.5 * r) / ((0.5 * r - 1.0) * root2)
-    return k_b, k_c, offset, 0.5 - 1.0 / r
+    return k_b, k_c, offset, residence_exponent(r)
 
 
 def finite_model_integral(

@@ -25,16 +25,7 @@ from .experiments import (
     scaling_suite,
     tail_estimate,
 )
-from .outputs import (
-    BAND_COLUMNS,
-    SCAN_COLUMNS,
-    TRAJECTORY_COLUMNS,
-    ZETA_COLUMNS,
-    csv_text,
-    json_payload,
-    json_text,
-    trajectory_rows,
-)
+from .outputs import ZETA_COLUMNS, csv_text, json_payload, json_text
 from .surface import SurfaceProfile
 
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
@@ -164,9 +155,11 @@ def _profile(cfg: dict) -> SurfaceProfile:
 
 
 def _emit(args, cfg, rows=None, columns=None, tables=None, fits=None, fmt=None) -> None:
+    """Write rows (a CSV's columns are their keys, unless columns is given)
+    or a JSON payload of them, the tables and the fits."""
     fmt = fmt or args.format or args.default_format
     if fmt == "csv":
-        text = csv_text(rows or [], columns)
+        text = csv_text(rows, columns)
     else:
         tables = dict(tables or {})
         if rows is not None:
@@ -182,16 +175,16 @@ def _emit(args, cfg, rows=None, columns=None, tables=None, fits=None, fmt=None) 
 
 
 def cmd_geodesic(args, cfg) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     profile = _profile(cfg)
     state = GeodesicState(s=args.s, theta=args.theta, psi=args.psi)
     path = integrate(profile, state, (0.0, args.time), drift_tol=args.tol)
-    ts = np.linspace(0.0, path.t_end, args.points)
-    rows = trajectory_rows(path.sample(ts))
+    samples = path.sample(np.linspace(0.0, path.t_end, args.points)).tolist()
     _emit(
         args,
         {**cfg, **{key: getattr(args, key) for key in ("s", "theta", "psi", "time", "tol")}},
-        rows=rows,
-        columns=TRAJECTORY_COLUMNS,
+        rows=[dict(t=t, s=s, theta=th, psi=ps, c_drift=dc) for t, s, th, ps, dc in samples],
         tables={"drift": path.drift, "terminated": path.terminated},
     )
     return 0
@@ -223,7 +216,7 @@ def cmd_transit(args, cfg) -> int:
         "time_vs_quadrature": tr.transit_time - 2.0 * ev.upsilon0,
         "angle_vs_quadrature": abs(tr.dtheta) - ev.zeta,
     }
-    _emit(args, {**cfg, "psi": psi}, rows=[row], columns=list(row))
+    _emit(args, {**cfg, "psi": psi}, rows=[row])
     return 0
 
 
@@ -258,7 +251,7 @@ def cmd_bands(args, cfg) -> int:
                     ),
                 }
             )
-    _emit(args, cfg, rows=rows, columns=BAND_COLUMNS)
+    _emit(args, cfg, rows=rows)
     return 0
 
 
@@ -272,7 +265,6 @@ def cmd_tails(args, cfg) -> int:
         args,
         cfg,
         rows=rows,
-        columns=["threshold", "survivors", "survival"],
         tables={"exponent": est.exponent, "dropped_thresholds": list(est.dropped)},
         fits={"survival": est.fit},
     )
@@ -281,31 +273,18 @@ def cmd_tails(args, cfg) -> int:
 
 def cmd_scaling(args, cfg) -> int:
     suite = scaling_suite(ExperimentConfig(**cfg))
-    _emit(
-        args,
-        cfg,
-        rows=list(suite.rows),
-        columns=list(suite.rows[0].keys()),
-        fits=suite.fits,
-    )
+    _emit(args, cfg, rows=list(suite.rows), fits=suite.fits)
     return 0
 
 
 def cmd_distortion(args, cfg) -> int:
     suite = distortion_suite(ExperimentConfig(**cfg))
-    _emit(
-        args,
-        cfg,
-        rows=list(suite.rows),
-        columns=["n", "m_n"],
-        fits=suite.fits,
-    )
+    _emit(args, cfg, rows=list(suite.rows), fits=suite.fits)
     return 0
 
 
 def cmd_asymptotics(args, cfg) -> int:
-    rows = model_table(cfg["r"])
-    _emit(args, cfg, rows=rows, columns=list(rows[0]))
+    _emit(args, cfg, rows=model_table(cfg["r"]))
     return 0
 
 
@@ -318,7 +297,6 @@ def cmd_hyperbolicity(args, cfg) -> int:
         args,
         {**cfg, "relax_time": args.relax_time, "spread_tol": args.spread_tol},
         rows=scan.rows,
-        columns=SCAN_COLUMNS,
         tables={
             "c3": scan.c3,
             "c4": scan.c4,

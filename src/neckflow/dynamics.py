@@ -5,14 +5,16 @@ under the angle coordinate: with psi the angle from the parallel direction,
 
     s'     = sin(psi) / sqrt(1 + xi'^2)
     theta' = cos(psi) / xi
-    psi'   = xi' cos(psi) / (xi sqrt(1 + xi'^2))
+    psi'   = xi' cos(psi) / (xi sqrt(1 + xi'^2)),
 
-and the Clairaut constant c = xi(s) cos(psi) (SurfaceProfile.clairaut_*) is
-a first integral whose measured drift is the error gauge.  The one event is
-leaving the neck: _exit_event's |s| - eps0 rising through 0.  integrate (and
-neck_transit on it) rides scipy's DOP853 to it with dense output; _lockstep
-runs rows in one batch without it, for neck_transits and linearization's
-relaxations, and locates the same event on each row's DOP853 interpolant.
+its factors from SurfaceProfile.geometry, the one form of the metric that
+transition's excursion integrands read too.  The Clairaut constant c =
+xi(s) cos(psi) (SurfaceProfile.clairaut_*) is a first integral whose
+measured drift is the error gauge.  The one event is leaving the neck:
+_exit_event's |s| - eps0 rising through 0.  integrate (and neck_transit on
+it) rides scipy's DOP853 to it with dense output; _lockstep runs rows in one
+batch without it, for neck_transits and linearization's relaxations, and
+locates the same event on each row's DOP853 interpolant.
 """
 
 from __future__ import annotations
@@ -64,19 +66,16 @@ def vector_field(profile: SurfaceProfile, state: GeodesicState) -> tuple[float, 
 
 def _make_rhs(profile: SurfaceProfile, xp=math):
     """RHS closure over the namespace xp: math for one state, computed on
-    Python floats, numpy for rows of states, one array per component.
-    Tolerates small overshoot past |s|=eps0."""
-    r = profile.r
-    sin, cos, sqrt = xp.sin, xp.cos, xp.sqrt
+    Python floats, numpy for rows of states, one array per component.  The
+    metric factors are SurfaceProfile.geometry's, which tolerates small
+    overshoot past |s|=eps0."""
+    geometry = profile.geometry
+    sin, cos = xp.sin, xp.cos
     scalar = xp is math
 
     def rhs(t, y):
         s, psi = (float(y[0]), float(y[2])) if scalar else (y[0], y[2])
-        ar = abs(s) ** r
-        xi = 1.0 + ar
-        # xi'(s) = r |s|^r / s; at s = 0 the quotient reads 0 / 1
-        d1 = r * ar / (s + (s == 0.0))
-        g = sqrt(1.0 + d1 * d1)
+        _, xi, d1, g = geometry(s, xp)
         cp = cos(psi)
         return (sin(psi) / g, cp / xi, d1 * cp / (xi * g))
 

@@ -193,7 +193,9 @@ def _survivor_brackets(
     2*Upsilon0/T - 1), which is nearly linear: each step moves every live
     row to the secant root of its bracket, or to the bracket's midpoint in
     log d where that root is not strictly inside, in one upsilon0_batch
-    call.  A row stops at _ROOT_WIDTH, at _ROOT_STEP, on an exact root,
+    call; a step whose angle rounds onto an end of the bracket moves to the
+    next double inward instead, unless it is shorter than _ROOT_STEP.  A
+    row stops at _ROOT_WIDTH, at _ROOT_STEP, on an exact root,
     once its bracket ends are equal or adjacent doubles of psi, or after
     _BISECT_STEPS steps.  The guess certifies nothing.  Each root is
     widened into the edges d*(1 -+ _BRACKET_DELTA), or two ulps of psi
@@ -245,6 +247,15 @@ def _survivor_brackets(
             xs = np.log(vh - gh * (vh - vl) / (gh - gl)) / -beta
             xs = np.where((l < xs) & (xs < h), xs, 0.5 * (l + h))
             psi_new = psi0 + s * np.exp(xs)
+            # a step that rounds onto an end of the bracket, unless it is a
+            # converged row's last (_ROOT_STEP), takes the next double inward
+            # from that end instead of evaluating that angle again
+            psi_l, psi_h = psi0 + s * np.exp(l), psi0 + s * np.exp(h)
+            onto = ((psi_new == psi_l) | (psi_new == psi_h)) & ~(np.abs(xs - x[live]) < _ROOT_STEP)
+            if onto.any():
+                inward = np.nextafter(psi_new, np.where(psi_new == psi_l, psi_h, psi_l))
+                psi_new = np.where(onto, inward, psi_new)
+                xs = np.where(onto, np.log(s * (psi_new - psi0)), xs)
             vals = 2.0 * upsilon0_batch(profile, psi_new)
             above, g = vals > t, vals / t - 1.0
             # Illinois: an end kept a second time in a row has its g halved
@@ -257,7 +268,7 @@ def _survivor_brackets(
             done |= hi[live] - lo[live] < _ROOT_WIDTH
             # the new end and the end kept are equal or adjacent doubles of
             # psi: no angle lies between them
-            psi_kept = psi0 + s * np.exp(np.where(above, h, l))
+            psi_kept = np.where(above, psi_h, psi_l)
             done |= np.nextafter(psi_new, psi_kept) == psi_kept
             x[live] = xs
             live[live] = ~done
@@ -397,9 +408,9 @@ def scaling_suite(config: ExperimentConfig, n_points: int = 12) -> SuiteResult:
 
     Evaluates the transition map at the midpoints of n_points log-spaced
     bands on both sides and fits each quantity against n.  Expected
-    exponents (bands of index n): (r-2)/r for Upsilon0, 3 - 2/r for |zeta'|
-    and for the growth factor of any fixed slope, 5 - 2/r for the crossing
-    zeta''.
+    exponents (bands of index n), beta = asymptotics.residence_exponent(r):
+    2 beta for Upsilon0, 2 + 2 beta for |zeta'| and for the growth factor of
+    any fixed slope, 4 + 2 beta for the crossing zeta''.
     """
     profile = config.profile()
     ns = bands.band_range(config.n_min, config.n_max, n_points)

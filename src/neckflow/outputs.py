@@ -35,10 +35,11 @@ def _fmt(value) -> str:
 
 
 def csv_text(rows, columns=None) -> str:
-    """Render rows (dicts) as CSV with a header, '.' decimals, '\\n' ends."""
+    """Render rows (dicts, at least one) as CSV with a header, '.' decimals,
+    '\\n' ends; the columns are the first row's keys unless given."""
     rows = list(rows)
     if columns is None:
-        columns = list(rows[0].keys()) if rows else []
+        columns = list(rows[0])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -85,7 +86,7 @@ def json_text(payload: dict) -> str:
     return json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"
 
 
-TRAJECTORY_COLUMNS = ["t", "s", "theta", "psi", "c_drift"]
+#: zeta's CSV order; every other table's columns are its rows' keys
 ZETA_COLUMNS = [
     "n",
     "side",
@@ -97,29 +98,3 @@ ZETA_COLUMNS = [
     "zeta_second",
     "err_est",
 ]
-SCAN_COLUMNS = ["s", "psi", "k_plus", "k_minus", "K", "spread", "confident"]
-BAND_COLUMNS = [
-    "n",
-    "side",
-    "c_lo",
-    "c_hi",
-    "psi_lo",
-    "psi_hi",
-    "width",
-    "width_asymptote",
-    "accumulation",
-]
-
-
-def trajectory_rows(path_samples: np.ndarray) -> list[dict]:
-    """Rows for the trajectory CSV from GeodesicPath.sample output."""
-    return [
-        {
-            "t": row[0],
-            "s": row[1],
-            "theta": row[2],
-            "psi": row[3],
-            "c_drift": row[4],
-        }
-        for row in np.asarray(path_samples)
-    ]

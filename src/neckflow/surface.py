@@ -7,7 +7,12 @@ The neck is the rotation surface with profile
 so the parallel circle at s=0 is a closed geodesic along which the Gaussian
 curvature vanishes to order r-2 (the curvature is strictly negative
 everywhere else).  Everything in this module is elementary calculus on xi;
-no integration happens here.
+no integration happens here.  Each formula is written once:
+SurfaceProfile.geometry gives the metric factors xi, xi' and sqrt(1+xi'^2)
+that the geodesic equations (dynamics) and the excursion integrands
+(transition) both read, _curvature_terms gives xi', xi'' and the
+curvature's denominator xi (1+xi'^2)^2 for every curvature quantity, and
+clairaut_unchecked gives Clairaut's constant.
 """
 
 from __future__ import annotations
@@ -65,20 +70,40 @@ class SurfaceProfile:
                 f"|s| exceeds the neck half-width eps0={self.eps0}"
             )
 
-    def profile_eval(self, s):
-        """Return (xi, xi', xi'') at s.  Accepts scalars or arrays.
+    def geometry(self, s, xp=math):
+        """(|s|^r, xi, xi', sqrt(1+xi'^2)) at s, without the domain check:
+        the one form of the metric that the geodesic equations (dynamics)
+        and the excursion integrands (transition) read.
 
-        Powers of |s| are evaluated as exp(k*log|s|) via np.power on the
-        absolute value; the s=0 limits (xi'=xi''=0 for r>2) come out of the
-        0^positive convention automatically, so no branch is needed.
+        xi' = r |s|^r / s, the quotient read as 0 / 1 at s = 0.  s is a
+        Python float, computed in plain float arithmetic with xp = math, or
+        a numpy array with xp = numpy, as dynamics._make_rhs's namespaces.
         """
-        self._check_domain(s)
-        a = np.abs(s)
+        ar = abs(s) ** self.r
+        d1 = self.r * ar / (s + (s == 0.0))
+        return ar, 1.0 + ar, d1, xp.sqrt(1.0 + d1 * d1)
+
+    def _curvature_terms(self, s):
+        """(xi, |xi'|, xi'', xi (1+xi'^2)^2) at s, without the domain check:
+        the profile's derivatives and the curvature's denominator.
+
+        Powers of |s| are evaluated on the absolute value, so the s=0
+        limits (xi'=xi''=0 for r>2) come out of the 0^positive convention
+        without a branch.  A float is computed in plain float arithmetic,
+        an array in numpy.
+        """
+        a = abs(s)
         r = self.r
         xi = 1.0 + a**r
-        d1 = r * np.sign(s) * a ** (r - 1.0)
+        d1 = r * a ** (r - 1.0)
         d2 = r * (r - 1.0) * a ** (r - 2.0)
-        return xi, d1, d2
+        return xi, d1, d2, xi * (1.0 + d1 * d1) ** 2
+
+    def profile_eval(self, s):
+        """Return (xi, xi', xi'') at s.  Accepts scalars or arrays."""
+        self._check_domain(s)
+        xi, d1, d2, _ = self._curvature_terms(s)
+        return xi, np.sign(s) * d1, d2
 
     def curvature(self, s):
         """Gaussian curvature K(s) = -xi'' / (xi * (1 + xi'^2)^2).
@@ -93,14 +118,10 @@ class SurfaceProfile:
 
         Solver stages and event roots overshoot |s| = eps0 by a root-finding
         ulp, and the formula extends smoothly there.  A float gives a float
-        in plain float arithmetic, cheap enough for one call per RHS
-        evaluation; arrays work too.
+        in plain float arithmetic; arrays work too.
         """
-        r = self.r
-        a = abs(s)
-        d1 = r * a ** (r - 1.0)
-        d2 = r * (r - 1.0) * a ** (r - 2.0)
-        return -d2 / ((1.0 + a**r) * (1.0 + d1 * d1) ** 2)
+        _, _, d2, den = self._curvature_terms(s)
+        return -d2 / den
 
     def curvature_ratio(self, s):
         """The pinching ratio -K(s)/|s|^(r-2) = r(r-1)/(xi*(1+xi'^2)^2).
@@ -108,8 +129,8 @@ class SurfaceProfile:
         Evaluated in the cancelled form, so it is finite (and maximal) at
         s=0.  Decreasing in |s|; see pinching_bounds for the extremes.
         """
-        xi, d1, _ = self.profile_eval(s)
-        return self.r * (self.r - 1.0) / (xi * (1.0 + d1 * d1) ** 2)
+        self._check_domain(s)
+        return self.r * (self.r - 1.0) / self._curvature_terms(s)[3]
 
     def clairaut_constant(self, s, psi):
         """Clairaut's first integral c = xi(s) * cos(psi)."""
@@ -150,15 +171,10 @@ class SurfaceProfile:
     def pinching_bounds(self) -> tuple[float, float]:
         """(lower, upper) bounds of -K/|s|^(r-2) over the punctured neck.
 
-        Upper bound r(r-1) is the s->0 limit; the lower bound is the value
-        at the boundary s = +-eps0 where xi*(1+xi'^2)^2 is largest.
+        Upper bound r(r-1) is the s->0 limit; the lower bound is the ratio
+        at the boundary s = +-eps0, where xi*(1+xi'^2)^2 is largest.
         """
-        r, e = self.r, self.eps0
-        hi = r * (r - 1.0)
-        xi_b = 1.0 + e**r
-        d1_b = r * e ** (r - 1.0)
-        lo = hi / (xi_b * (1.0 + d1_b * d1_b) ** 2)
-        return lo, hi
+        return self.curvature_ratio(self.eps0), self.r * (self.r - 1.0)
 
 
 def classify(c: float) -> TrajectoryClass:

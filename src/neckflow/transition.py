@@ -33,7 +33,9 @@ One engine integrates all of them, for one entry or a batch, and asymptotics
 runs its model integrals on it too, one row per scale.  Each side has one
 integrand, a numpy expression that yields, in one pass over shared nodes,
 whichever of upsilon0, zeta and the two derivative integrands the caller
-asks for.  Each row is split at its own scale (the spike width, or sqrt(y)
+asks for; its xi, xi' and sqrt(1+xi'^2) are SurfaceProfile.geometry's, the
+form the geodesic equations read, so the ODE and the quadrature share one
+transcription of the surface.  Each row is split at its own scale (the spike width, or sqrt(y)
 in w) into two Gauss-Legendre panels, the outer one graded in a log
 variable, so the accuracy holds uniformly up to the asymptotic angle.  An
 embedded lower-order rule gives every (row, integrand) an error estimate:
@@ -173,7 +175,7 @@ def _bouncing(profile: SurfaceProfile, u: np.ndarray):
     b is not: near grazing eps0 - y cancels, and a row whose bound on its
     relative rounding error is above the 1e-9 ceiling raises AccuracyError.
     """
-    r, eps0 = profile.r, profile.eps0
+    r, eps0, geometry = profile.r, profile.eps0, profile.geometry
     y, y1, y2 = _turning(r, u)
     q = y**r  # equals u to rounding; keeps xi-c internally consistent
     c, r1 = 1.0 + u, r - 1.0
@@ -182,10 +184,7 @@ def _bouncing(profile: SurfaceProfile, u: np.ndarray):
     def f(w, which):
         ww = w * w
         s = y + ww
-        sr = s**r
-        xi = 1.0 + sr
-        xp = r * sr / s
-        g = np.sqrt(xp * xp + 1.0)
+        sr, xi, xp, g = geometry(s, np)
         x = ww / y
         ximc = q * np.expm1(r * np.log1p(x))
         xipc = 2.0 + u + sr
@@ -238,15 +237,12 @@ def _crossing(profile: SurfaceProfile, u: np.ndarray):
     "zeta", and the derivative integrands of _crossing_chain, "dzeta" and
     "d2zeta".
     """
-    r, eps0 = profile.r, profile.eps0
+    r, eps0, geometry = profile.r, profile.eps0, profile.geometry
     c, a = 1.0 - u, profile.boundary_radius
     amc = (a - c) * (a + c)  # a^2 - c^2, no cancellation: a-1 >> |c-1|
 
     def f(s, which):
-        sr = s**r
-        xi = 1.0 + sr
-        xp = r * sr / s
-        g = np.sqrt(xp * xp + 1.0)
+        sr, xi, xp, g = geometry(s, np)
         dd = (sr + u) * (2.0 - u + sr)  # (xi-c)(xi+c)
         root = np.sqrt(dd)
         out = {}
@@ -274,11 +270,10 @@ def _residence_offset(profile: SurfaceProfile, rows: np.ndarray):
     expm1 of a sum of log1p terms: cancellation-free, and regular at s = 0,
     where it vanishes like s^(r/2).
     """
-    r = profile.r
+    geometry = profile.geometry
 
     def f(s, _):
-        q = s**r
-        xp = r * q / s
+        q, _, xp, _ = geometry(s, np)
         lx = np.log1p(q) + 0.5 * (np.log1p(xp * xp) - np.log1p(0.5 * q))  # log X
         return {"offset": np.expm1(lx) / np.sqrt(2.0 * q)}
 
@@ -423,7 +418,8 @@ def _bouncing_chain(profile: SurfaceProfile, psi, u, ints):
     f, _, top = _bouncing(profile, u[:, None])
     fl_top = f(top, ("dzeta",))["dzeta"][:, 0]  # (F L)(W)
     _, y1, y2 = _turning(r, u)
-    g0 = math.sqrt(1.0 + (r * profile.eps0 ** (r - 1.0)) ** 2)
+    _, d1, _, _ = profile._curvature_terms(profile.eps0)
+    g0 = math.sqrt(1.0 + d1 * d1)  # sqrt(1 + xi'^2) at s = eps0
     cols = (psi, u, y1, y2, fl_top, top[:, 0], *ints[0], *ints[1])
     for p, u, y1, y2, fl_top, top, i1, i2, e1, e2 in zip(*(col.tolist() for col in cols)):
         c = 1.0 + u

@@ -10,7 +10,6 @@ import neckflow
 from neckflow import __version__
 from neckflow.asymptotics import MODEL_TRIPLES
 from neckflow.cli import build_parser, main
-from neckflow.outputs import BAND_COLUMNS, TRAJECTORY_COLUMNS, ZETA_COLUMNS
 
 
 def run(argv, capsys):
@@ -58,7 +57,7 @@ def test_zeta_csv_header_and_shape(capsys):
     )
     assert code == 0
     lines = out.strip().split("\n")
-    assert lines[0] == ",".join(ZETA_COLUMNS)
+    assert lines[0] == "n,side,psi_mid,c,zeta,upsilon0,zeta_prime,zeta_second,err_est"
     # every band index appears once per side
     assert (len(lines) - 1) % 2 == 0
     assert len(lines) > 4
@@ -67,7 +66,9 @@ def test_zeta_csv_header_and_shape(capsys):
 def test_bands_csv_header(capsys):
     code, out, _ = run(["bands", "--n-min", "25", "--n-max", "100"], capsys)
     assert code == 0
-    assert out.split("\n", 1)[0] == ",".join(BAND_COLUMNS)
+    assert out.split("\n", 1)[0] == (
+        "n,side,c_lo,c_hi,psi_lo,psi_hi,width,width_asymptote,accumulation"
+    )
 
 
 def test_geodesic_point_count(tmp_path, capsys):
@@ -84,8 +85,21 @@ def test_geodesic_point_count(tmp_path, capsys):
     )
     assert code == 0
     lines = out_file.read_text().strip().split("\n")
-    assert lines[0] == ",".join(TRAJECTORY_COLUMNS)
+    assert lines[0] == "t,s,theta,psi,c_drift"
     assert len(lines) == 51
+
+
+@pytest.mark.parametrize("points", [0, -3])
+def test_geodesic_points_below_one_is_usage_error(points, capsys):
+    code, _, err = run(["geodesic", "--psi", "1.2", "--points", str(points)], capsys)
+    assert code == 2
+    assert f"--points must be at least 1, got {points}" in err
+
+
+def test_hyperbolicity_csv_header(capsys):
+    code, out, _ = run(["hyperbolicity"], capsys)
+    assert code == 0
+    assert out.split("\n", 1)[0] == "s,psi,k_plus,k_minus,K,spread,confident"
 
 
 def test_transit_needs_psi_or_band(capsys):

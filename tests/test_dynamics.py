@@ -313,6 +313,35 @@ def test_one_clairaut_formula(r, eps0):
     assert profile.clairaut_unchecked(over, 0.3) == (1.0 + over**r) * math.cos(0.3)
 
 
+@pytest.mark.parametrize("r, eps0", [(4.0, 1.0), (6.0, 1.5), (10.0, 2.0)])
+def test_one_neck_geometry(r, eps0):
+    # both right-hand sides are sin psi/g, cos psi/xi and xi' cos psi/(xi g)
+    # of SurfaceProfile.geometry, bit for bit, a float state in Python floats
+    profile = SurfaceProfile(r, eps0)
+    rng = np.random.default_rng(int(r))
+    s = np.append(rng.uniform(-eps0, eps0, 2000), 0.0)
+    psi = rng.uniform(-math.pi, math.pi, s.size)
+    one = dynamics._make_rhs(profile)
+    for si, p in zip(s.tolist(), psi.tolist()):
+        _, xi, d1, g = geometry = profile.geometry(si)
+        assert all(type(v) is float for v in geometry)
+        cp = math.cos(p)
+        assert one(0.0, (si, 0.0, p)) == (math.sin(p) / g, cp / xi, d1 * cp / (xi * g))
+    _, xi, d1, g = profile.geometry(s, np)
+    cp = np.cos(psi)
+    rows = dynamics._make_rhs(profile, np)(0.0, (s, np.zeros(s.size), psi))
+    for got, want in zip(rows, (np.sin(psi) / g, cp / xi, d1 * cp / (xi * g))):
+        assert np.array_equal(got, want)
+    assert profile.geometry(0.0) == (0.0, 1.0, 0.0, 1.0)
+    # at s > 0 (every integrand node) it is the integrands' plain form
+    pos = np.abs(s[s != 0.0])
+    sr, xi, d1, g = profile.geometry(pos, np)
+    assert np.array_equal(sr, pos**r) and np.array_equal(xi, 1.0 + pos**r)
+    assert np.array_equal(d1, r * pos**r / pos)
+    assert np.array_equal(g, np.sqrt(d1 * d1 + 1.0))
+    assert profile.pinching_bounds()[0] == profile.curvature_ratio(eps0)
+
+
 @pytest.fixture(scope="module")
 def band_entries(prof4):
     """40 entry angles drawn as criterion 2 draws them, in bands 10..100."""
